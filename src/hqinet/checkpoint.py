@@ -10,6 +10,7 @@ save -> load -> save byte-identical.
 from __future__ import annotations
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -113,11 +114,20 @@ def save_checkpoint(path, model, optimizer, config_dict, epoch, step,
         "buffers": buffer_meta,
     }
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(_PREFIX.pack(MAGIC, FORMAT_VERSION, len(head)))
-        f.write(head)
-        for blob in blobs:
-            f.write(blob.tobytes())
+    # Write beside the target and rename over it, so a failed write
+    # leaves the previous checkpoint whole.
+    tmp = path + ".tmp"
+    f = open(tmp, "wb")
+    try:
+        with f:
+            f.write(_PREFIX.pack(MAGIC, FORMAT_VERSION, len(head)))
+            f.write(head)
+            for blob in blobs:
+                f.write(blob.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path):

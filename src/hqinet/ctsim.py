@@ -28,6 +28,11 @@ __all__ = [
 # many optical depths (exp(-4) ~ 1.8% transmission at the thickest path).
 OPTICAL_DEPTHS = 4.0
 
+# radon builds ray geometry for blocks of detectors of about this many
+# taps (256 KiB per float64 array), so a block's geometry and work
+# buffers stay in cache while every slice of a stack is gathered.
+_RAY_BLOCK_TAPS = 1 << 15
+
 
 @dataclass
 class Phantom:
@@ -141,19 +146,32 @@ class Sinogram:
 
 
 def radon(image, n_views, n_detectors, detector_spacing=1.0, oversample=2):
-    """Parallel-beam forward projection of a square image.
+    """Parallel-beam forward projection of a square image or image stack.
 
     Each view rotates the sampling grid and sums bilinearly interpolated
-    values along rays at ``oversample`` steps per pixel.
+    values along rays at ``oversample`` steps per pixel (Joseph's
+    ray-driven method). A view's ray geometry (corner indices, weights,
+    inside mask) depends only on the geometry, so it is built once and
+    applied to every slice of an ``(n, s, s)`` stack. An ``(s, s)`` image
+    returns one Sinogram, a stack a list of ``n``.
     """
     img = np.asarray(image, dtype=np.float64)
-    if img.ndim != 2 or img.shape[0] != img.shape[1]:
-        raise ValueError(f"image must be square 2-d, got {img.shape}")
+    single = img.ndim == 2
+    stack = img[None] if single else img
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise ValueError(f"image must be square (s, s) or (n, s, s), got {img.shape}")
+    if stack.shape[0] < 1:
+        raise ValueError("image stack must hold at least one slice")
     if n_views < 1 or n_detectors < 1:
         raise ValueError("n_views and n_detectors must be >= 1")
-    s = img.shape[0]
-    pad = np.zeros((s + 2, s + 2), dtype=np.float64)
-    pad[1:-1, 1:-1] = img
+    n, s = stack.shape[0], stack.shape[1]
+    w = s + 2
+    pad = np.zeros((n, w, w), dtype=np.float64)
+    pad[:, 1:-1, 1:-1] = stack
+    # Flat views shifted by one column, one row, and both: taking the
+    # top-left corner index from them gathers the other three corners.
+    flat = pad.reshape(n, w * w)
+    corners = [(flat[i], flat[i, 1:], flat[i, w:], flat[i, w + 1:]) for i in range(n)]
     center = (s - 1) / 2.0
     angles = np.arange(n_views, dtype=np.float64) * math.pi / n_views
     t = (np.arange(n_detectors, dtype=np.float64) - (n_detectors - 1) / 2.0) * detector_spacing
@@ -161,25 +179,45 @@ def radon(image, n_views, n_detectors, detector_spacing=1.0, oversample=2):
     half_len = s * math.sqrt(2.0) / 2.0
     n_steps = int(math.ceil(2.0 * half_len / step)) + 1
     ray = -half_len + step * np.arange(n_steps, dtype=np.float64)
-    data = np.empty((n_views, n_detectors), dtype=np.float64)
+    data = np.empty((n, n_views, n_detectors), dtype=np.float64)
+    rows = max(1, _RAY_BLOCK_TAPS // n_steps)
+    vals_buf = np.empty((rows, n_steps), dtype=np.float64)
+    term_buf = np.empty_like(vals_buf)
     for v, theta in enumerate(angles):
         ct, st = math.cos(theta), math.sin(theta)
-        # px/py carry the +1 shift into the zero-padded frame.
-        px = center + 1.0 + t[:, None] * ct - ray[None, :] * st
-        py = center + 1.0 + t[:, None] * st + ray[None, :] * ct
-        x0 = np.floor(px).astype(np.int64)
-        y0 = np.floor(py).astype(np.int64)
-        inside = (x0 >= 0) & (x0 <= s) & (y0 >= 0) & (y0 <= s)
-        x0c = np.clip(x0, 0, s)
-        y0c = np.clip(y0, 0, s)
-        fx = px - x0
-        fy = py - y0
-        vals = (pad[y0c, x0c] * (1 - fy) * (1 - fx)
-                + pad[y0c, x0c + 1] * (1 - fy) * fx
-                + pad[y0c + 1, x0c] * fy * (1 - fx)
-                + pad[y0c + 1, x0c + 1] * fy * fx)
-        data[v] = (vals * inside).sum(axis=1) * step
-    return Sinogram(data=data, view_angles=angles, detector_spacing=detector_spacing)
+        for r0 in range(0, n_detectors, rows):
+            tb = t[r0:r0 + rows, None]
+            vals = vals_buf[:tb.shape[0]]
+            term = term_buf[:tb.shape[0]]
+            # px/py carry the +1 shift into the zero-padded frame.
+            px = center + 1.0 + tb * ct - ray[None, :] * st
+            py = center + 1.0 + tb * st + ray[None, :] * ct
+            x0 = np.floor(px).astype(np.int64)
+            y0 = np.floor(py).astype(np.int64)
+            inside = ((x0 >= 0) & (x0 <= s) & (y0 >= 0) & (y0 <= s)).astype(np.float64)
+            corner = np.clip(y0, 0, s) * w + np.clip(x0, 0, s)
+            fx = px - x0
+            fy = py - y0
+            gx = 1 - fx
+            gy = 1 - fy
+            # Per slice, the same products and sums in the same order as
+            # p00*(1-fy)*(1-fx) + p01*(1-fy)*fx + p10*fy*(1-fx) + p11*fy*fx.
+            # The corner indices are already in range; take's "wrap" mode
+            # writes straight into the buffer, where "raise" would copy.
+            for i, (p00, p01, p10, p11) in enumerate(corners):
+                np.take(p00, corner, out=vals, mode="wrap")
+                vals *= gy
+                vals *= gx
+                for p, wy, wx in ((p01, gy, fx), (p10, fy, gx), (p11, fy, fx)):
+                    np.take(p, corner, out=term, mode="wrap")
+                    term *= wy
+                    term *= wx
+                    vals += term
+                vals *= inside
+                data[i, v, r0:r0 + rows] = vals.sum(axis=1) * step
+    sinos = [Sinogram(data=data[i], view_angles=angles.copy(),
+                      detector_spacing=detector_spacing) for i in range(n)]
+    return sinos[0] if single else sinos
 
 
 def apply_low_dose(sino: Sinogram, i0, seed):
@@ -211,9 +249,13 @@ def _ramlak_kernel(n_detectors, spacing):
     return kern
 
 
-def fbp(sino: Sinogram, out_size):
+def fbp(sinos, out_size):
     """Filtered backprojection onto an out_size x out_size grid.
 
+    ``sinos`` is one Sinogram, giving an ``(out_size, out_size)`` image,
+    or a list of sinograms that share one geometry (views, detectors,
+    angles, spacing), giving an ``(m, out_size, out_size)`` stack; each
+    view's detector coordinates are computed once for the whole list.
     Ramp filtering runs as an FFT-based linear convolution with the
     discrete ramp kernel; backprojection interpolates each filtered view
     linearly and weights the angle sum by pi / n_views. Output is
@@ -222,31 +264,59 @@ def fbp(sino: Sinogram, out_size):
     """
     if out_size < 1:
         raise ValueError(f"out_size must be >= 1, got {out_size}")
-    nv, nd = sino.data.shape
-    d = sino.detector_spacing
+    single = isinstance(sinos, Sinogram)
+    batch = [sinos] if single else list(sinos)
+    if not batch:
+        raise ValueError("fbp needs at least one sinogram")
+    first = batch[0]
+    for other in batch[1:]:
+        if (other.data.shape != first.data.shape
+                or other.detector_spacing != first.detector_spacing
+                or not np.array_equal(other.view_angles, first.view_angles)):
+            raise ValueError("sinograms must share shape, view angles and detector spacing")
+    nv, nd = first.data.shape
+    d = first.detector_spacing
     kern = _ramlak_kernel(nd, d)
     m = 1
     while m < nd + kern.size - 1:
         m *= 2
     kf = np.fft.rfft(kern, m)
-    pf = np.fft.rfft(sino.data, m, axis=1)
-    conv = np.fft.irfft(pf * kf[None, :], m, axis=1)
-    # Taps start at offset -(nd-1), so the aligned slice begins there.
-    filtered = conv[:, nd - 1:2 * nd - 1] * d
+    # One FFT per sinogram: a batched transform over the list would hold
+    # every spectrum at once.
+    filtered = np.empty((len(batch), nv, nd), dtype=np.float64)
+    for j, sino in enumerate(batch):
+        conv = np.fft.irfft(np.fft.rfft(sino.data, m, axis=1) * kf[None, :], m, axis=1)
+        # Taps start at offset -(nd-1), so the aligned slice begins there.
+        filtered[j] = conv[:, nd - 1:2 * nd - 1] * d
     center = (out_size - 1) / 2.0
     ys, xs = np.mgrid[0:out_size, 0:out_size]
     x = xs - center
     y = ys - center
-    recon = np.zeros((out_size, out_size), dtype=np.float64)
+    recon = np.zeros((len(batch), out_size, out_size), dtype=np.float64)
+    lo = np.empty((out_size, out_size), dtype=np.float64)
+    hi = np.empty_like(lo)
     det_center = (nd - 1) / 2.0
     for v in range(nv):
-        theta = sino.view_angles[v]
+        theta = first.view_angles[v]
         tcoord = (x * math.cos(theta) + y * math.sin(theta)) / d + det_center
         idx = np.floor(tcoord).astype(np.int64)
         frac = tcoord - idx
-        valid = (idx >= 0) & (idx <= nd - 2)
+        invalid = (idx < 0) | (idx > nd - 2)
         idxc = np.clip(idx, 0, nd - 2)
-        view = filtered[v]
-        recon += np.where(valid, view[idxc] * (1 - frac) + view[idxc + 1] * frac, 0.0)
+        idxc1 = idxc + 1
+        gfrac = 1 - frac
+        # Per sinogram, view[idxc]*(1-frac) + view[idxc+1]*frac, zero off
+        # the detector. The indices are already in range; take's "wrap"
+        # mode writes straight into the buffer, where "raise" would copy.
+        for j in range(len(batch)):
+            view = filtered[j, v]
+            np.take(view, idxc, out=lo, mode="wrap")
+            lo *= gfrac
+            np.take(view, idxc1, out=hi, mode="wrap")
+            hi *= frac
+            lo += hi
+            lo[invalid] = 0.0
+            recon[j] += lo
     recon *= math.pi / nv
-    return np.clip(recon, 0.0, 1.5)
+    np.clip(recon, 0.0, 1.5, out=recon)
+    return recon[0] if single else recon

@@ -1,15 +1,17 @@
 """Dataset assembly: paired low/full-dose volumes on disk, slice
 triplets, crops and batches.
 
-Each synthetic patient is a phantom volume projected once per slice;
-the same noise-free sinogram is degraded at the low and full dose
-levels, reconstructed by filtered backprojection, and both volumes are
-normalized by the full-dose volume's max so the pair shares one scale.
+Each synthetic patient is a phantom volume projected as one stack; each
+slice's noise-free sinogram is degraded at the low and full dose levels,
+each dose's sinograms are reconstructed as one stack by filtered
+backprojection, and both volumes are normalized by the full-dose
+volume's max so the pair shares one scale.
 """
 
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,21 +106,25 @@ def generate_patient_pair(spec: SyntheticSpec, seed, patient_index):
     Every random draw is keyed by (seed, patient_index, slice, dose), so
     patients and slices are independent and reproducible in isolation.
     """
-    phantoms = generate_phantom_volume(
-        [seed, patient_index], spec.n_slices, spec.size, spec.n_ellipses_range)
-    low = np.empty((spec.n_slices, spec.size, spec.size), dtype=np.float64)
-    full = np.empty_like(low)
-    for si, ph in enumerate(phantoms):
-        sino = radon(ph.image, spec.n_views, spec.n_detectors)
-        low_sino = apply_low_dose(sino, spec.low_i0, [seed, patient_index, si, 0])
-        full_sino = apply_low_dose(sino, spec.full_i0, [seed, patient_index, si, 1])
-        low[si] = fbp(low_sino, spec.size)
-        full[si] = fbp(full_sino, spec.size)
+    # One expression, so neither the phantoms nor their stack are held
+    # through the reconstructions.
+    sinos = radon(
+        np.stack([ph.image for ph in generate_phantom_volume(
+            [seed, patient_index], spec.n_slices, spec.size, spec.n_ellipses_range)]),
+        spec.n_views, spec.n_detectors)
+    low = fbp([apply_low_dose(sino, spec.low_i0, [seed, patient_index, si, 0])
+               for si, sino in enumerate(sinos)], spec.size)
+    full = fbp([apply_low_dose(sino, spec.full_i0, [seed, patient_index, si, 1])
+                for si, sino in enumerate(sinos)], spec.size)
     norm = float(full.max())
     if norm > 0:
         low /= norm
         full /= norm
     return low.astype(np.float32), full.astype(np.float32), norm
+
+
+# Files generate_dataset writes: p<id>_{low,full}.{hqiv,json}.
+_VOLUME_FILE = re.compile(r"p\d+_(low|full)\.(hqiv|json)")
 
 
 def _patient_files(out_dir, split, pid):
@@ -135,6 +141,14 @@ def generate_dataset(out_dir, spec: SyntheticSpec, seed, force=False):
     if os.path.isdir(out_dir) and os.listdir(out_dir) and not force:
         raise DataError(
             f"output directory {out_dir} is not empty; pass force to overwrite")
+    # A forced run over a larger earlier dataset would otherwise keep its
+    # extra patients, some under the other split's new ids.
+    for split in ("train", "test"):
+        split_dir = os.path.join(out_dir, split)
+        if os.path.isdir(split_dir):
+            for name in os.listdir(split_dir):
+                if _VOLUME_FILE.fullmatch(name):
+                    os.remove(os.path.join(split_dir, name))
     written = []
     for split, count, offset in (("train", spec.n_train, 0),
                                  ("test", spec.n_test, spec.n_train)):

@@ -22,7 +22,7 @@ from . import tensor as T
 from .checkpoint import (check_model_config, load_checkpoint, restore_model_state,
                          restore_optimizer_state, save_checkpoint)
 from .dataset import build_triplets, load_triplets, load_volume_pairs, random_crop, stack_batch
-from .errors import DataError, NumericError
+from .errors import ConfigError, DataError, NumericError
 from .losses import combined_loss, loss_terms
 from .metrics import format_table, metrics_report
 from .network import build_model
@@ -85,6 +85,12 @@ def train(config: RunConfig, resume=None, triplets=None, val_triplets=None) -> T
         val_triplets = load_triplets(config.data.root, "test")
     if not triplets:
         raise DataError("no training triplets")
+    crop = config.data.crop
+    if crop:
+        h = min(t.input.shape[1] for t in triplets)
+        w = min(t.input.shape[2] for t in triplets)
+        if crop > h or crop > w:
+            raise ConfigError(f"crop {crop} exceeds slice size {h}x{w}")
 
     model = build_model(config.model, seed=config.seed)
     optimizer = Adam(list(model.named_parameters()), lr=config.optimizer.lr,
@@ -121,7 +127,6 @@ def train(config: RunConfig, resume=None, triplets=None, val_triplets=None) -> T
     best_path = os.path.join(out_dir, "best.hqic")
     last_path = os.path.join(out_dir, "last.hqic")
     strict = config.strict_determinism
-    crop = config.data.crop
     model.train()
     try:
         for epoch in range(start_epoch, config.epochs):

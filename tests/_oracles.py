@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from hqinet.ctsim import Sinogram
+
 
 def conv2d_naive(x, w, b=None, stride=1, dilation=1, groups=1, padding=0):
     """Direct seven-loop convolution (cross-correlation) in float64."""
@@ -152,3 +154,101 @@ def truncated_std(std, cut=2.0):
     z = cut
     var_unit = 1.0 + (-z * phi(z) - z * phi(z)) / (Phi(z) - Phi(-z))
     return std * math.sqrt(var_unit)
+
+
+# Per-slice parallel-beam projector and FBP as they stood before the
+# stacked versions in hqinet.ctsim: one slice at a time, geometry rebuilt
+# for every call.
+
+
+def radon_naive(image, n_views, n_detectors, detector_spacing=1.0, oversample=2):
+    """Parallel-beam forward projection of a square image.
+
+    Each view rotates the sampling grid and sums bilinearly interpolated
+    values along rays at ``oversample`` steps per pixel.
+    """
+    img = np.asarray(image, dtype=np.float64)
+    if img.ndim != 2 or img.shape[0] != img.shape[1]:
+        raise ValueError(f"image must be square 2-d, got {img.shape}")
+    if n_views < 1 or n_detectors < 1:
+        raise ValueError("n_views and n_detectors must be >= 1")
+    s = img.shape[0]
+    pad = np.zeros((s + 2, s + 2), dtype=np.float64)
+    pad[1:-1, 1:-1] = img
+    center = (s - 1) / 2.0
+    angles = np.arange(n_views, dtype=np.float64) * math.pi / n_views
+    t = (np.arange(n_detectors, dtype=np.float64) - (n_detectors - 1) / 2.0) * detector_spacing
+    step = 1.0 / oversample
+    half_len = s * math.sqrt(2.0) / 2.0
+    n_steps = int(math.ceil(2.0 * half_len / step)) + 1
+    ray = -half_len + step * np.arange(n_steps, dtype=np.float64)
+    data = np.empty((n_views, n_detectors), dtype=np.float64)
+    for v, theta in enumerate(angles):
+        ct, st = math.cos(theta), math.sin(theta)
+        # px/py carry the +1 shift into the zero-padded frame.
+        px = center + 1.0 + t[:, None] * ct - ray[None, :] * st
+        py = center + 1.0 + t[:, None] * st + ray[None, :] * ct
+        x0 = np.floor(px).astype(np.int64)
+        y0 = np.floor(py).astype(np.int64)
+        inside = (x0 >= 0) & (x0 <= s) & (y0 >= 0) & (y0 <= s)
+        x0c = np.clip(x0, 0, s)
+        y0c = np.clip(y0, 0, s)
+        fx = px - x0
+        fy = py - y0
+        vals = (pad[y0c, x0c] * (1 - fy) * (1 - fx)
+                + pad[y0c, x0c + 1] * (1 - fy) * fx
+                + pad[y0c + 1, x0c] * fy * (1 - fx)
+                + pad[y0c + 1, x0c + 1] * fy * fx)
+        data[v] = (vals * inside).sum(axis=1) * step
+    return Sinogram(data=data, view_angles=angles, detector_spacing=detector_spacing)
+
+
+def _ramlak_kernel(n_detectors, spacing):
+    """Discrete ramp filter taps for offsets -(n-1) .. (n-1)."""
+    n = np.arange(-(n_detectors - 1), n_detectors, dtype=np.float64)
+    kern = np.zeros_like(n)
+    kern[n_detectors - 1] = 1.0 / (4.0 * spacing * spacing)
+    odd = (np.abs(n) % 2) == 1
+    kern[odd] = -1.0 / (math.pi * n[odd] * spacing) ** 2
+    return kern
+
+
+def fbp_naive(sino: Sinogram, out_size):
+    """Filtered backprojection onto an out_size x out_size grid.
+
+    Ramp filtering runs as an FFT-based linear convolution with the
+    discrete ramp kernel; backprojection interpolates each filtered view
+    linearly and weights the angle sum by pi / n_views. Output is
+    clamped to [0, 1.5]; any volume-level renormalization is the
+    caller's concern.
+    """
+    if out_size < 1:
+        raise ValueError(f"out_size must be >= 1, got {out_size}")
+    nv, nd = sino.data.shape
+    d = sino.detector_spacing
+    kern = _ramlak_kernel(nd, d)
+    m = 1
+    while m < nd + kern.size - 1:
+        m *= 2
+    kf = np.fft.rfft(kern, m)
+    pf = np.fft.rfft(sino.data, m, axis=1)
+    conv = np.fft.irfft(pf * kf[None, :], m, axis=1)
+    # Taps start at offset -(nd-1), so the aligned slice begins there.
+    filtered = conv[:, nd - 1:2 * nd - 1] * d
+    center = (out_size - 1) / 2.0
+    ys, xs = np.mgrid[0:out_size, 0:out_size]
+    x = xs - center
+    y = ys - center
+    recon = np.zeros((out_size, out_size), dtype=np.float64)
+    det_center = (nd - 1) / 2.0
+    for v in range(nv):
+        theta = sino.view_angles[v]
+        tcoord = (x * math.cos(theta) + y * math.sin(theta)) / d + det_center
+        idx = np.floor(tcoord).astype(np.int64)
+        frac = tcoord - idx
+        valid = (idx >= 0) & (idx <= nd - 2)
+        idxc = np.clip(idx, 0, nd - 2)
+        view = filtered[v]
+        recon += np.where(valid, view[idxc] * (1 - frac) + view[idxc + 1] * frac, 0.0)
+    recon *= math.pi / nv
+    return np.clip(recon, 0.0, 1.5)

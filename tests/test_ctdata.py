@@ -21,6 +21,7 @@ from hqinet.volume_io import (VolumeDtypeError, VolumeMagicError,
                               VolumeShapeError, VolumeTruncatedError,
                               VolumeVersionError, manifest_path, read_manifest,
                               read_volume, write_volume)
+from _oracles import fbp_naive, radon_naive
 
 FAST_SPEC = SyntheticSpec(n_train=1, n_test=1, n_slices=3, size=32,
                           n_views=24, n_detectors=47)
@@ -139,9 +140,19 @@ class TestRadon:
         with pytest.raises(ValueError):
             radon(np.zeros((16, 24)), 4, 31)
         with pytest.raises(ValueError):
-            radon(np.zeros((3, 16, 16)), 4, 31)
+            radon(np.zeros((3, 16, 24)), 4, 31)
+        with pytest.raises(ValueError):
+            radon(np.zeros((2, 3, 16, 16)), 4, 31)
+        with pytest.raises(ValueError):
+            radon(np.zeros((0, 16, 16)), 4, 31)
         with pytest.raises(ValueError):
             radon(np.zeros((16, 16)), 0, 31)
+
+    def test_stack_returns_one_sinogram_per_slice(self):
+        sinos = radon(np.zeros((3, 16, 16)), 4, 31)
+        assert len(sinos) == 3
+        assert all(isinstance(s, Sinogram) and s.data.shape == (4, 31) for s in sinos)
+        assert isinstance(radon(np.zeros((1, 16, 16)), 4, 31), list)
 
 
 class TestLowDose:
@@ -246,6 +257,62 @@ class TestFBP:
         s = Sinogram(data=np.zeros((4, 9)), view_angles=np.zeros(4))
         with pytest.raises(ValueError):
             fbp(s, 0)
+        with pytest.raises(ValueError):
+            fbp([s, s], 0)
+        with pytest.raises(ValueError):
+            fbp([], 8)
+        mismatched = [
+            Sinogram(data=np.zeros((4, 11)), view_angles=np.zeros(4)),
+            Sinogram(data=np.zeros((5, 9)), view_angles=np.zeros(5)),
+            Sinogram(data=np.zeros((4, 9)), view_angles=np.arange(4.0)),
+            Sinogram(data=np.zeros((4, 9)), view_angles=np.zeros(4),
+                     detector_spacing=0.5),
+        ]
+        for other in mismatched:
+            with pytest.raises(ValueError):
+                fbp([s, other], 8)
+
+    def test_list_returns_stack(self):
+        s = Sinogram(data=np.zeros((4, 9)), view_angles=np.zeros(4))
+        assert fbp([s, s, s], 8).shape == (3, 8, 8)
+        assert fbp([s], 8).shape == (1, 8, 8)
+        assert fbp(s, 8).shape == (8, 8)
+
+
+class TestStackedAgainstOracle:
+    """The stacked projector and backprojector reproduce the per-slice
+    oracles bit for bit: same arithmetic, same order, geometry shared."""
+
+    @staticmethod
+    def same_bits(a, b):
+        # array_equal, and the bit patterns too, so the signs of zeros match
+        a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+        return np.array_equal(a, b) and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+    @pytest.mark.parametrize("oversample", [1, 2, 3])
+    @pytest.mark.parametrize("spacing", [0.75, 1.0])
+    @pytest.mark.parametrize("n_views", [1, 7, 24])
+    @pytest.mark.parametrize("size", [32, 33, 40])
+    def test_radon_and_fbp_bit_identical(self, size, n_views, spacing, oversample):
+        rng = np.random.default_rng([size, n_views, oversample])
+        # signed values: zero signs and clamping must match too
+        stack = rng.uniform(-0.25, 1.0, size=(3, size, size))
+        n_det = int(1.5 * size) | 1
+        sinos = radon(stack, n_views, n_det, spacing, oversample)
+        refs = [radon_naive(img, n_views, n_det, spacing, oversample) for img in stack]
+        for got, ref in zip(sinos, refs):
+            assert self.same_bits(got.data, ref.data)
+            assert np.array_equal(got.view_angles, ref.view_angles)
+            assert got.detector_spacing == ref.detector_spacing
+        single = radon(stack[1], n_views, n_det, spacing, oversample)
+        assert self.same_bits(single.data, refs[1].data)
+
+        noisy = [apply_low_dose(s, 1e3, k) for k, s in enumerate(sinos)]
+        for out_size in (size, size + 5):
+            recon = fbp(noisy, out_size)
+            for got, sino in zip(recon, noisy):
+                assert self.same_bits(got, fbp_naive(sino, out_size))
+            assert self.same_bits(fbp(noisy[2], out_size), fbp_naive(noisy[2], out_size))
 
 
 class TestTriplets:
@@ -343,6 +410,28 @@ class TestPatientPair:
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
         assert not np.array_equal(a[0], c[0])
 
+    def test_matches_oracle_composition(self):
+        spec = SyntheticSpec(n_train=1, n_test=1, n_slices=4, size=40,
+                             n_views=17, n_detectors=61)
+        seed, pidx = 3, 1
+        phantoms = generate_phantom_volume([seed, pidx], spec.n_slices, spec.size,
+                                           spec.n_ellipses_range)
+        low = np.empty((spec.n_slices, spec.size, spec.size))
+        full = np.empty_like(low)
+        for si, ph in enumerate(phantoms):
+            sino = radon_naive(ph.image, spec.n_views, spec.n_detectors)
+            low[si] = fbp_naive(apply_low_dose(sino, spec.low_i0, [seed, pidx, si, 0]),
+                                spec.size)
+            full[si] = fbp_naive(apply_low_dose(sino, spec.full_i0, [seed, pidx, si, 1]),
+                                 spec.size)
+        norm = float(full.max())
+        low /= norm
+        full /= norm
+        got_low, got_full, got_norm = generate_patient_pair(spec, seed, pidx)
+        assert got_norm == norm
+        assert np.array_equal(got_low, low.astype(np.float32))
+        assert np.array_equal(got_full, full.astype(np.float32))
+
     def test_low_dose_is_noisier(self):
         low, full, _ = generate_patient_pair(FAST_SPEC, seed=2, patient_index=0)
         # both reconstruct the same anatomy; the low-dose one sits farther
@@ -375,6 +464,25 @@ class TestDatasetOnDisk:
             generate_dataset(str(root), FAST_SPEC, seed=0)
         generate_dataset(str(root), FAST_SPEC, seed=0, force=True)
         assert load_volume_pairs(str(root), "train")
+
+    def test_force_drops_stale_volumes(self, tmp_path):
+        root = tmp_path / "data"
+        generate_dataset(str(root), SyntheticSpec(n_train=2, n_test=1, n_slices=3,
+                                                  size=32, n_views=4, n_detectors=47),
+                         seed=0)
+        (root / "notes.txt").write_text("kept")
+        (root / "train" / "notes.txt").write_text("kept")
+        written = generate_dataset(str(root), FAST_SPEC, seed=0, force=True)
+        assert written == [("train", "p000"), ("test", "p001")]
+        train_ids = {pid for pid, *_ in load_volume_pairs(str(root), "train")}
+        test_ids = {pid for pid, *_ in load_volume_pairs(str(root), "test")}
+        assert train_ids == {"p000"} and test_ids == {"p001"}
+        assert sorted(os.listdir(root / "train")) == [
+            "notes.txt", "p000_full.hqiv", "p000_full.json",
+            "p000_low.hqiv", "p000_low.json"]
+        assert sorted(os.listdir(root / "test")) == [
+            "p001_full.hqiv", "p001_full.json", "p001_low.hqiv", "p001_low.json"]
+        assert (root / "notes.txt").read_text() == "kept"
 
     def test_load_errors(self, tmp_path):
         with pytest.raises(DataError):

@@ -134,6 +134,33 @@ class TestCheckpointFormat:
                         state.step, state.rng_state, state.best_val)
         assert open(path2, "rb").read() == original
 
+    def test_failed_save_keeps_previous_file(self, data_dir, tmp_path, monkeypatch):
+        path = self._trained(data_dir, tmp_path)
+        before = open(path, "rb").read()
+        state = load_checkpoint(path)
+        model = build_model(RunConfig.from_dict(state.config).model)
+        optimizer = Adam(list(model.named_parameters()), lr=1e-3)
+
+        class FailingBlob(np.ndarray):
+            def tobytes(self, order="C"):
+                raise OSError("disk full")
+
+        real = ckpt._le_dtype
+        calls = []
+
+        def le_dtype(arr):
+            out, dts = real(arr)
+            calls.append(None)
+            # the third blob fails, after the header and two blobs are written
+            return (out.view(FailingBlob) if len(calls) == 3 else out), dts
+
+        monkeypatch.setattr(ckpt, "_le_dtype", le_dtype)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, model, optimizer, state.config, 9, 99,
+                            state.rng_state)
+        assert open(path, "rb").read() == before
+        assert not [n for n in os.listdir(os.path.dirname(path)) if n.endswith(".tmp")]
+
     def test_header_fields(self, data_dir, tmp_path):
         state = load_checkpoint(self._trained(data_dir, tmp_path))
         assert state.epoch == 1
@@ -358,6 +385,14 @@ class TestCLI:
         bad.write_text('{"bogus_field": 1}')
         assert main(["train", "--config", str(bad)]) == 2
         capsys.readouterr()
+
+    def test_crop_larger_than_slice_is_config_error(self, data_dir, tmp_path, capsys):
+        cfg = make_config(data_dir, tmp_path / "run")
+        cfg.data.crop = 64  # the dataset's slices are 32x32
+        cfg_path = str(tmp_path / "config.json")
+        cfg.to_json(cfg_path)
+        assert main(["train", "--config", cfg_path]) == 2
+        assert "crop 64 exceeds slice size 32x32" in capsys.readouterr().err
 
     def test_data_error_exit_code(self, tmp_path, capsys):
         cfg_path = self._write_config(tmp_path, str(tmp_path / "nodata"),

@@ -4,7 +4,7 @@ pipeline, and a deterministic training CLI."""
 
 from .tensor import Tensor, no_grad
 from .network import HQINet, ModelConfig, build_model, parameter_count
-from .losses import LossWeights, SsimParams, combined_loss, l1_loss, ssim, ssim_loss
+from .losses import LossWeights, SsimParams, l1_loss, ssim, ssim_loss
 from .metrics import MetricsReport, metrics_report, mutual_information, nmse, psnr
 from .runconfig import RunConfig
 from .trainer import evaluate, reconstruct, train
@@ -20,7 +20,6 @@ __all__ = [
     "parameter_count",
     "LossWeights",
     "SsimParams",
-    "combined_loss",
     "l1_loss",
     "ssim",
     "ssim_loss",

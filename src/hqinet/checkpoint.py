@@ -10,6 +10,7 @@ save -> load -> save byte-identical.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 
@@ -34,6 +35,8 @@ __all__ = [
 MAGIC = b"HQIC"
 FORMAT_VERSION = 1
 _PREFIX = struct.Struct("<4sHI")
+_HEADER_KEYS = ("config", "epoch", "step", "best_val", "rng", "adam", "params",
+                "buffers")
 
 
 class CheckpointError(Exception):
@@ -130,6 +133,17 @@ def save_checkpoint(path, model, optimizer, config_dict, epoch, step,
         raise
 
 
+def _well_formed(meta):
+    """True for a ``[name, shape, dtype]`` entry describing a float array."""
+    try:
+        name, shape, dts = meta
+        return (isinstance(name, str) and isinstance(shape, list) and isinstance(dts, str)
+                and all(type(d) is int and d >= 0 for d in shape)
+                and np.dtype(dts).kind == "f")
+    except (TypeError, ValueError, SyntaxError):
+        return False
+
+
 def load_checkpoint(path):
     with open(path, "rb") as f:
         raw = f.read()
@@ -148,12 +162,16 @@ def load_checkpoint(path):
         header = json.loads(raw[_PREFIX.size:_PREFIX.size + head_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointTruncatedError(f"{path}: unreadable header: {exc}") from exc
+    if not (isinstance(header, dict) and all(key in header for key in _HEADER_KEYS)
+            and all(isinstance(header[key], list) and all(map(_well_formed, header[key]))
+                    for key in ("params", "buffers"))):
+        raise CheckpointError(f"{path}: header lacks a field or has a malformed array entry")
     offset = _PREFIX.size + head_len
 
     def take(meta):
         nonlocal offset
         name, shape, dts = meta
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)
         nbytes = count * np.dtype(dts).itemsize
         if offset + nbytes > len(raw):
             raise CheckpointTruncatedError(
@@ -162,22 +180,10 @@ def load_checkpoint(path):
         offset += nbytes
         return name, arr.reshape(shape).copy()
 
-    params = {}
-    for meta in header["params"]:
-        name, arr = take(meta)
-        params[name] = arr
-    moments_m = {}
-    for meta in header["params"]:
-        name, arr = take(meta)
-        moments_m[name] = arr
-    moments_v = {}
-    for meta in header["params"]:
-        name, arr = take(meta)
-        moments_v[name] = arr
-    buffers = {}
-    for meta in header["buffers"]:
-        name, arr = take(meta)
-        buffers[name] = arr
+    # Blob order: parameters, first moments, second moments, buffers.
+    params, moments_m, moments_v, buffers = (
+        dict(take(meta) for meta in header[key])
+        for key in ("params", "params", "params", "buffers"))
     if offset != len(raw):
         raise CheckpointTruncatedError(
             f"{path}: {len(raw) - offset} unexpected trailing bytes")

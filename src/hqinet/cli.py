@@ -76,7 +76,9 @@ def _run(args) -> int:
         print(f"trained {result.epochs_run} epochs ({result.steps} steps); "
               f"best validation loss {result.best_val:.6f}")
         print(f"log: {result.log_path}")
-        print(f"checkpoints: {result.last_path} (last), {result.best_path} (best)")
+        best = (f"{result.best_path} (best)" if result.best_path
+                else "no best checkpoint (no finite validation loss)")
+        print(f"checkpoints: {result.last_path} (last), {best}")
         return EXIT_OK
     if args.command == "eval":
         data_dir = args.data or config.data.root

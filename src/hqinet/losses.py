@@ -22,7 +22,6 @@ __all__ = [
     "l1_loss",
     "ssim",
     "ssim_loss",
-    "combined_loss",
     "loss_terms",
 ]
 
@@ -170,8 +169,3 @@ def loss_terms(pred, ref, weights: LossWeights = None, params: SsimParams = None
     sl = ssim_loss(pred, ref, params)
     total = T.add(T.mul(l1, float(weights.alpha)), T.mul(sl, float(weights.beta)))
     return total, l1, sl
-
-
-def combined_loss(pred, ref, weights: LossWeights = None, params: SsimParams = None):
-    """alpha * L1 + beta * (1 - SSIM)."""
-    return loss_terms(pred, ref, weights, params)[0]

@@ -240,18 +240,16 @@ class ASPP(Module):
     the concatenation is projected to ``out_channels`` by a 1x1 conv.
     """
 
-    def __init__(self, in_c, rates, out_channels, input_size=None, padding=None,
-                 dtype=np.float32):
+    def __init__(self, in_c, rates, out_channels, dtype=np.float32):
         super().__init__()
         self.rates = tuple(rates)
-        self.paddings = tuple(self.rates) if padding is None else tuple(padding)
-        if len(self.paddings) != len(self.rates):
-            raise ValueError("one padding per dilation rate required")
         self.point = Conv2d(in_c, out_channels, 1, bias=True, dtype=dtype)
+        # Padding each branch by its rate keeps the map size and lets any
+        # rate run on any input of at least one pixel.
         self.depthwise = [
-            Conv2d(in_c, in_c, 3, dilation=r, padding=p, groups=in_c,
+            Conv2d(in_c, in_c, 3, dilation=r, padding=r, groups=in_c,
                    bias=False, dtype=dtype)
-            for r, p in zip(self.rates, self.paddings)
+            for r in self.rates
         ]
         self.pointwise = [
             Conv2d(in_c, out_channels, 1, bias=True, dtype=dtype)
@@ -261,20 +259,9 @@ class ASPP(Module):
         n_branches = 2 + len(self.rates)
         self.project = Conv2d(n_branches * out_channels, out_channels, 1,
                               bias=True, dtype=dtype)
-        if input_size is not None:
-            self.check_input_size(*input_size)
-
-    def check_input_size(self, h, w):
-        for r, p in zip(self.rates, self.paddings):
-            span = 2 * r + 1
-            if span > h + 2 * p or span > w + 2 * p:
-                raise ValueError(
-                    f"dilation rate {r} spans {span} pixels but the padded "
-                    f"input is only {h + 2 * p}x{w + 2 * p}")
 
     def forward(self, x):
         n, c, h, w = x.data.shape
-        self.check_input_size(h, w)
         branches = [T.relu(self.point(x))]
         for dw, pw in zip(self.depthwise, self.pointwise):
             branches.append(T.relu(pw(dw(x))))

@@ -18,7 +18,6 @@ __all__ = [
     "Conv2d",
     "BatchNorm2d",
     "init_truncated_gaussian",
-    "init_zeros",
     "initialize_parameters",
 ]
 
@@ -106,10 +105,6 @@ class Module:
 
     def eval(self):
         return self.train(False)
-
-    def zero_grad(self):
-        for p in self.parameters():
-            p.grad = None
 
     def astype(self, dtype):
         """Convert every parameter and float buffer in place."""
@@ -211,10 +206,6 @@ def init_truncated_gaussian(shape, mean=0.0, std=0.01, seed=None, rng=None,
         vals[bad] = rng.normal(mean, std, size=int(bad.sum()))
         bad = np.abs(vals - mean) > 2.0 * std
     return Tensor(vals.reshape(shape).astype(dtype))
-
-
-def init_zeros(shape, dtype=np.float64):
-    return Tensor(np.zeros(shape, dtype=dtype))
 
 
 def initialize_parameters(module, seed, std=0.01):

@@ -56,22 +56,3 @@ class Adam:
             m_hat = m / bc1
             v_hat = v / bc2
             p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.epsilon)
-
-    def state_arrays(self):
-        """Moment arrays in parameter order, for checkpointing."""
-        out = []
-        for name, _ in self.params:
-            out.append((name + ".m", self.m[name]))
-        for name, _ in self.params:
-            out.append((name + ".v", self.v[name]))
-        return out
-
-    def load_state_array(self, key, array):
-        name, kind = key.rsplit(".", 1)
-        store = {"m": self.m, "v": self.v}[kind]
-        if name not in store:
-            raise KeyError(key)
-        if store[name].shape != array.shape:
-            raise ValueError(
-                f"optimizer state {key}: shape {array.shape} != {store[name].shape}")
-        store[name] = array.astype(store[name].dtype, copy=True)

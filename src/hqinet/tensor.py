@@ -24,9 +24,6 @@ import numpy as np
 __all__ = [
     "Tensor",
     "no_grad",
-    "is_grad_enabled",
-    "tensor",
-    "zeros",
     "add",
     "sub",
     "mul",
@@ -65,10 +62,6 @@ class no_grad:
         return False
 
 
-def is_grad_enabled():
-    return _GRAD_ENABLED
-
-
 class Tensor:
     """A numpy array plus an optional gradient and graph linkage."""
 
@@ -91,58 +84,9 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def numpy(self):
-        return self.data
-
-    def item(self):
-        return float(self.data)
-
-    def detach(self):
-        return Tensor(self.data, requires_grad=False)
-
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{flag})"
-
-    # -- operator sugar ------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(tensor(np.asarray(other, dtype=self.data.dtype)), self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
 
     # -- reverse-mode pass ---------------------------------------------------
 
@@ -191,15 +135,6 @@ class Tensor:
                     node.grad = np.array(g)
                 else:
                     node.grad = node.grad + g
-
-
-def tensor(data, requires_grad=False, dtype=None):
-    arr = np.asarray(data, dtype=dtype)
-    return Tensor(arr, requires_grad=requires_grad)
-
-
-def zeros(shape, dtype=np.float32, requires_grad=False):
-    return Tensor(np.zeros(shape, dtype=dtype), requires_grad=requires_grad)
 
 
 def _as_tensor(x):

@@ -23,7 +23,7 @@ from .checkpoint import (check_model_config, load_checkpoint, restore_model_stat
                          restore_optimizer_state, save_checkpoint)
 from .dataset import build_triplets, load_triplets, load_volume_pairs, random_crop, stack_batch
 from .errors import ConfigError, DataError, NumericError
-from .losses import combined_loss, loss_terms
+from .losses import loss_terms
 from .metrics import format_table, metrics_report
 from .network import build_model
 from .optim import Adam
@@ -34,12 +34,13 @@ from .volume_io import read_manifest, read_volume, write_volume
 __all__ = ["TrainResult", "train", "evaluate", "reconstruct"]
 
 LOG_HEADER = "step,epoch,loss,l1_part,ssim_part,wall_time"
+VAL_LOG_HEADER = "epoch,val_loss"
 
 
 @dataclass
 class TrainResult:
     log_path: str
-    best_path: str
+    best_path: str | None
     last_path: str
     epochs_run: int
     steps: int
@@ -63,12 +64,25 @@ def _validation_loss(model, triplets, config: RunConfig):
         for start in range(0, len(triplets), bs):
             chunk = triplets[start:start + bs]
             x, y = stack_batch(chunk)
-            loss = combined_loss(model(Tensor(x)), Tensor(y),
-                                 config.loss_weights, config.ssim)
+            loss = loss_terms(model(Tensor(x)), Tensor(y),
+                              config.loss_weights, config.ssim)[0]
             total += float(loss.data) * len(chunk)
             count += len(chunk)
     model.train()
     return total / count
+
+
+def _open_log(path, header, keep_below=None):
+    """Start a CSV log with its header. With ``keep_below``, first keep the
+    complete rows already there whose leading step or epoch is below it."""
+    rows = []
+    if keep_below is not None and os.path.exists(path):
+        with open(path) as f:
+            rows = [r + "\n" for r in f.read().split("\n")[1:-1]
+                    if int(r.split(",", 1)[0]) < keep_below]
+    f = open(path, "w")
+    f.write(header + "\n" + "".join(rows))
+    return f
 
 
 def train(config: RunConfig, resume=None, triplets=None, val_triplets=None) -> TrainResult:
@@ -102,6 +116,7 @@ def train(config: RunConfig, resume=None, triplets=None, val_triplets=None) -> T
     best_val = math.inf
 
     log_path = os.path.join(out_dir, "loss_log.csv")
+    val_log_path = os.path.join(out_dir, "val_log.csv")
     if resume is not None:
         state = load_checkpoint(resume)
         check_model_config(config.to_dict(), state)
@@ -113,16 +128,13 @@ def train(config: RunConfig, resume=None, triplets=None, val_triplets=None) -> T
         step = state.step
         if state.best_val is not None:
             best_val = state.best_val
-        log_file = open(log_path, "a")
-        if os.path.getsize(log_path) == 0:
-            log_file.write(LOG_HEADER + "\n")
+        # Drop the rows written after the checkpoint, so the logs end as an
+        # uninterrupted run's would.
+        log_file = _open_log(log_path, LOG_HEADER, keep_below=step + 1)
+        val_log = _open_log(val_log_path, VAL_LOG_HEADER, keep_below=start_epoch)
     else:
-        log_file = open(log_path, "w")
-        log_file.write(LOG_HEADER + "\n")
-    val_log_path = os.path.join(out_dir, "val_log.csv")
-    val_log = open(val_log_path, "a" if resume is not None else "w")
-    if val_log.tell() == 0:
-        val_log.write("epoch,val_loss\n")
+        log_file = _open_log(log_path, LOG_HEADER)
+        val_log = _open_log(val_log_path, VAL_LOG_HEADER)
 
     best_path = os.path.join(out_dir, "best.hqic")
     last_path = os.path.join(out_dir, "last.hqic")
@@ -173,6 +185,8 @@ def train(config: RunConfig, resume=None, triplets=None, val_triplets=None) -> T
     finally:
         log_file.close()
         val_log.close()
+    if math.isinf(best_val) or not os.path.exists(best_path):
+        best_path = None
     return TrainResult(log_path=log_path, best_path=best_path, last_path=last_path,
                        epochs_run=config.epochs - start_epoch, steps=step,
                        best_val=best_val)

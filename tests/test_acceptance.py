@@ -19,7 +19,7 @@ from hqinet.checkpoint import (CheckpointMagicError, CheckpointTruncatedError,
 from hqinet.ctsim import apply_low_dose, fbp, generate_phantom_volume, radon
 from hqinet.dataset import (SyntheticSpec, build_triplets, generate_dataset,
                             generate_patient_pair)
-from hqinet.losses import SsimParams, combined_loss, l1_loss, ssim
+from hqinet.losses import SsimParams, l1_loss, loss_terms, ssim
 from hqinet.metrics import l1_error, mutual_information, nmse, psnr
 from hqinet.network import ModelConfig, build_model, parameter_count
 from hqinet.optim import Adam
@@ -163,12 +163,12 @@ def test_loss_identities():
     for _ in range(3):
         same = rng.uniform(0.0, 1.0, size=(2, 1, 16, 16))
         worst_ident = max(worst_ident,
-                          abs(float(combined_loss(same, same).data)))
+                          abs(float(loss_terms(same, same)[0].data)))
         worst_ident = max(worst_ident,
                           abs(float(ssim(same, same).data) - 1.0))
         a = rng.uniform(0.0, 1.0, size=(2, 1, 16, 16))
         b = rng.uniform(0.0, 1.0, size=(2, 1, 16, 16))
-        whole = float(combined_loss(a, b).data)
+        whole = float(loss_terms(a, b)[0].data)
         composed = (0.85 * float(l1_loss(a, b).data)
                     + 0.15 * (1.0 - float(ssim(a, b).data)))
         worst_comp = max(worst_comp, abs(whole - composed))

@@ -5,8 +5,7 @@ import pytest
 
 from hqinet import tensor as T
 from hqinet.tensor import Tensor
-from hqinet.losses import (LossWeights, SsimParams, combined_loss, l1_loss,
-                           loss_terms, ssim, ssim_loss)
+from hqinet.losses import LossWeights, SsimParams, l1_loss, loss_terms, ssim, ssim_loss
 
 from _gradcheck import check
 from _oracles import gaussian_window_naive, ssim_windowed_naive
@@ -63,7 +62,7 @@ class TestIdentities:
 
     def test_combined_loss_of_identical_images_is_zero(self):
         x = img((16, 16), 2)
-        assert float(combined_loss(x, x).data) == pytest.approx(0.0, abs=1e-12)
+        assert float(loss_terms(x, x)[0].data) == pytest.approx(0.0, abs=1e-12)
 
     def test_composition(self):
         # total must equal alpha * L1 + beta * (1 - SSIM) assembled from the
@@ -71,7 +70,7 @@ class TestIdentities:
         x, y = img((1, 1, 16, 16), 3), img((1, 1, 16, 16), 4)
         for a, b in ((0.85, 0.15), (0.5, 0.5), (1.0, 0.0)):
             w = LossWeights(a, b)
-            total = float(combined_loss(x, y, w).data)
+            total = float(loss_terms(x, y, w)[0].data)
             want = (a * float(l1_loss(Tensor(x), Tensor(y)).data)
                     + b * (1.0 - float(ssim(x, y).data)))
             assert total == pytest.approx(want, abs=1e-12)
@@ -115,9 +114,9 @@ class TestIdentities:
         x, y = img((16, 16), 15), img((16, 16), 16)
         sl = float(ssim_loss(x, y).data)
         assert 0.0 <= sl <= 2.0
-        only_l1 = float(combined_loss(x, y, LossWeights(1.0, 0.0)).data)
+        only_l1 = float(loss_terms(x, y, LossWeights(1.0, 0.0))[0].data)
         assert only_l1 == pytest.approx(float(l1_loss(x, y).data), abs=1e-12)
-        only_ssim = float(combined_loss(x, y, LossWeights(0.0, 1.0)).data)
+        only_ssim = float(loss_terms(x, y, LossWeights(0.0, 1.0))[0].data)
         assert only_ssim == pytest.approx(sl, abs=1e-12)
 
 
@@ -185,7 +184,7 @@ class TestGradients:
         bad = np.abs(x.data - y.data) < 1e-3
         x.data[bad] += 0.01
         p = SsimParams(window_size=5)
-        check(lambda: combined_loss(x, y, LossWeights(), p), [x, y])
+        check(lambda: loss_terms(x, y, LossWeights(), p)[0], [x, y])
 
     def test_gradient_descends_toward_reference(self):
         rng = np.random.default_rng(29)
@@ -194,7 +193,7 @@ class TestGradients:
         losses = []
         for _ in range(60):
             x.grad = None
-            loss = combined_loss(x, y)
+            loss = loss_terms(x, y)[0]
             loss.backward()
             losses.append(float(loss.data))
             # mean-reduced L1 makes per-pixel gradients O(alpha / n_pixels),

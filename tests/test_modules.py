@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from hqinet import tensor as T
+from hqinet.checkpoint import (CheckpointShapeError, load_checkpoint,
+                               restore_optimizer_state, save_checkpoint)
 from hqinet.tensor import Tensor
 from hqinet.nn import (BatchNorm2d, Conv2d, Module, Parameter,
                        init_truncated_gaussian, initialize_parameters)
@@ -50,9 +52,10 @@ class TestModuleWalk:
 
     def test_zero_grad(self):
         m = Tiny()
+        opt = Adam(list(m.named_parameters()), lr=0.01)
         for _, p in m.named_parameters():
             p.grad = np.ones_like(p.data)
-        m.zero_grad()
+        opt.zero_grad()
         assert all(p.grad is None for _, p in m.named_parameters())
 
     def test_set_buffer_through_list_child(self):
@@ -231,21 +234,29 @@ class TestAdam:
         with pytest.raises(ValueError):
             Adam([("a", p), ("a", p)], lr=0.1)
 
-    def test_state_round_trip(self):
-        p, rng = self._pair((2, 2), 9)
-        opt = Adam([("w", p)], lr=0.01)
-        p.grad = rng.normal(size=(2, 2))
+    def test_state_round_trip(self, tmp_path):
+        m = Tiny()
+        opt = Adam(list(m.named_parameters()), lr=0.01)
+        rng = np.random.default_rng(9)
+        for _, p in m.named_parameters():
+            p.grad = rng.normal(size=p.data.shape)
         opt.step()
-        saved = {k: a.copy() for k, a in opt.state_arrays()}
-        assert set(saved) == {"w.m", "w.v"}
+        path = str(tmp_path / "tiny.hqic")
+        save_checkpoint(path, m, opt, {}, 1, 1, rng.bit_generator.state)
+        state = load_checkpoint(path)
+        assert set(state.moments_m) == set(state.moments_v) == set(opt.m)
 
-        q = Parameter(np.zeros((2, 2)))
-        opt2 = Adam([("w", q)], lr=0.01)
-        for k, a in saved.items():
-            opt2.load_state_array(k, a)
-        assert np.array_equal(opt2.m["w"], opt.m["w"])
-        assert np.array_equal(opt2.v["w"], opt.v["w"])
-        with pytest.raises(ValueError):
-            opt2.load_state_array("w.m", np.zeros((3, 3)))
-        with pytest.raises(KeyError):
-            opt2.load_state_array("nope.m", np.zeros((2, 2)))
+        m2 = Tiny()
+        opt2 = Adam(list(m2.named_parameters()), lr=0.01)
+        restore_optimizer_state(opt2, state)
+        for name in opt.m:
+            assert np.array_equal(opt2.m[name], opt.m[name])
+            assert np.array_equal(opt2.v[name], opt.v[name])
+        assert opt2.step_count == 1
+        state.moments_m["first.weight"] = np.zeros((3, 3))
+        with pytest.raises(CheckpointShapeError):
+            restore_optimizer_state(opt2, state)
+        state = load_checkpoint(path)
+        del state.moments_v["bn.beta"]
+        with pytest.raises(CheckpointShapeError):
+            restore_optimizer_state(opt2, state)

@@ -217,17 +217,6 @@ class TestASPP:
         # project sees 5 branches worth of channels
         assert aspp.project.weight.data.shape[1] == 5 * 4
 
-    def test_input_size_guard(self):
-        with pytest.raises(ValueError):
-            ASPP(4, (6, 12, 18), 4, padding=(0, 0, 0), input_size=(8, 8))
-        aspp = ASPP(4, (1, 2, 3), 4, padding=(0, 0, 0))
-        with pytest.raises(ValueError):
-            aspp(Tensor(np.zeros((1, 4, 4, 4), dtype=np.float32)))
-
-    def test_padding_arity_guard(self):
-        with pytest.raises(ValueError):
-            ASPP(4, (1, 2, 3), 4, padding=(1, 2))
-
     def test_gradcheck(self):
         aspp = ASPP(3, (1, 2), 2, dtype=np.float64)
         rng = np.random.default_rng(16)

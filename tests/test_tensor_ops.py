@@ -17,7 +17,7 @@ def rand(shape, seed, scale=1.0, shift=0.0):
 
 
 def leaf(shape, seed, **kw):
-    return T.tensor(rand(shape, seed, **kw), requires_grad=True)
+    return Tensor(rand(shape, seed, **kw), requires_grad=True)
 
 
 class TestElementwise:
@@ -60,7 +60,7 @@ class TestElementwise:
         check(lambda: T.tsum(T.sigmoid(x)), [x])
 
     def test_relu_and_abs_subgradient_zero_at_zero(self):
-        x = T.tensor(np.zeros((2, 2)), requires_grad=True)
+        x = Tensor(np.zeros((2, 2)), requires_grad=True)
         T.tsum(T.relu(x)).backward()
         assert np.all(x.grad == 0.0)
         x.grad = None

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from hqinet import checkpoint as ckpt
-from hqinet.checkpoint import (CheckpointMagicError, CheckpointShapeError,
+from hqinet import cli
+from hqinet.checkpoint import (CheckpointError, CheckpointMagicError, CheckpointShapeError,
                                CheckpointTruncatedError, CheckpointVersionError,
                                check_model_config, load_checkpoint,
                                restore_model_state, restore_optimizer_state,
@@ -95,6 +96,27 @@ class TestTrainLoop:
         for name, arr in a.moments_m.items():
             assert np.array_equal(arr, b.moments_m[name]), name
         assert a.rng_state == b.rng_state
+
+    def test_resume_from_earlier_epoch_drops_later_rows(self, data_dir, tmp_path):
+        cfg = make_config(data_dir, tmp_path / "run")
+        train(cfg)
+        run = tmp_path / "run"
+        names = ("loss_log.csv", "val_log.csv", "epoch_002.hqic", "last.hqic", "best.hqic")
+        full = {n: (run / n).read_bytes() for n in names}
+        # resume over complete logs, then over logs cut off mid-row by a
+        # crash during epoch 2
+        for loss_log, val_log in ((full["loss_log.csv"], full["val_log.csv"]),
+                                  (full["loss_log.csv"][:-20], full["val_log.csv"][:-5])):
+            (run / "loss_log.csv").write_bytes(loss_log)
+            (run / "val_log.csv").write_bytes(val_log)
+            train(cfg, resume=str(run / "epoch_001.hqic"))
+            for n in names:
+                assert (run / n).read_bytes() == full[n], n
+
+    def test_no_validation_split_has_no_best_checkpoint(self, data_dir, tmp_path):
+        result = train(make_config(data_dir, tmp_path / "run", epochs=1), val_triplets=[])
+        assert result.best_path is None
+        assert not os.path.exists(tmp_path / "run" / "best.hqic")
 
     def test_resume_rejects_model_config_change(self, data_dir, tmp_path):
         part = train(make_config(data_dir, tmp_path / "run", epochs=1))
@@ -401,6 +423,40 @@ class TestCLI:
         assert main(["eval", "--config", cfg_path,
                      "--checkpoint", str(tmp_path / "missing.hqic")]) == 3
         capsys.readouterr()
+
+    def test_malformed_checkpoint_header_exit_code(self, run, tmp_path, capsys):
+        raw = open(run.last_path, "rb").read()
+        magic, version, head_len = ckpt._PREFIX.unpack_from(raw)
+        start = ckpt._PREFIX.size
+        bad = str(tmp_path / "bad.hqic")
+
+        def write(mutate):
+            header = json.loads(raw[start:start + head_len])
+            mutate(header)
+            head = json.dumps(header).encode()
+            with open(bad, "wb") as f:
+                f.write(ckpt._PREFIX.pack(magic, version, len(head)) + head
+                        + raw[start + head_len:])
+
+        for mutate in (lambda h: h.pop("adam"), lambda h: h.pop("buffers"),
+                       lambda h: h["params"][0].__setitem__(1, [-1]),
+                       lambda h: h["params"][0].__setitem__(2, "<i4"),
+                       lambda h: h["buffers"][0].pop()):
+            write(mutate)
+            with pytest.raises(CheckpointError):
+                load_checkpoint(bad)
+        write(lambda h: h.pop("adam"))
+        assert main(["eval", "--checkpoint", bad, "--out", str(tmp_path / "eval")]) == 3
+        assert "header" in capsys.readouterr().err
+
+    def test_train_without_best_checkpoint_says_so(self, data_dir, tmp_path, capsys,
+                                                   monkeypatch):
+        real = cli.train
+        monkeypatch.setattr(cli, "train",
+                            lambda config, resume: real(config, resume, val_triplets=[]))
+        cfg_path = self._write_config(tmp_path, data_dir, str(tmp_path / "run"), epochs=1)
+        assert main(["train", "--config", cfg_path]) == 0
+        assert "no best checkpoint" in capsys.readouterr().out
 
     def test_numeric_error_exit_code(self, data_dir, tmp_path, capsys):
         cfg_path = self._write_config(tmp_path, data_dir, str(tmp_path / "run"),

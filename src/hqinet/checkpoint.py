@@ -144,6 +144,20 @@ def _well_formed(meta):
         return False
 
 
+def _resumable(header):
+    """True when counters, best value, config, Adam and RNG state can be restored."""
+    adam, num = header["adam"], (int, float)
+    try:
+        np.random.PCG64(0).state = header["rng"]
+    except (TypeError, ValueError, KeyError, OverflowError):
+        return False
+    return (isinstance(header["config"], dict) and isinstance(adam, dict)
+            and all(type(v) is int and v >= 0
+                    for v in (header["epoch"], header["step"], adam.get("step_count")))
+            and (header["best_val"] is None or type(header["best_val"]) in num)
+            and all(type(adam[k]) in num for k in ("lr", "beta1", "beta2", "epsilon") if k in adam))
+
+
 def load_checkpoint(path):
     with open(path, "rb") as f:
         raw = f.read()
@@ -164,8 +178,8 @@ def load_checkpoint(path):
         raise CheckpointTruncatedError(f"{path}: unreadable header: {exc}") from exc
     if not (isinstance(header, dict) and all(key in header for key in _HEADER_KEYS)
             and all(isinstance(header[key], list) and all(map(_well_formed, header[key]))
-                    for key in ("params", "buffers"))):
-        raise CheckpointError(f"{path}: header lacks a field or has a malformed array entry")
+                    for key in ("params", "buffers")) and _resumable(header)):
+        raise CheckpointError(f"{path}: header lacks a field or holds a malformed value")
     offset = _PREFIX.size + head_len
 
     def take(meta):

@@ -46,6 +46,10 @@ __all__ = [
 
 _GRAD_ENABLED = True
 
+# Under no_grad, conv2d builds its patch matrix in bands of output rows of
+# about this many bytes per sample, so each band stays in cache until used.
+_PATCH_BAND_BYTES = 1 << 18
+
 
 class no_grad:
     """Context manager that suspends graph recording."""
@@ -372,9 +376,10 @@ def conv2d(x, weight, bias=None, stride=1, dilation=1, groups=1, zero_padding=0)
     """2-D cross-correlation over ``(n, c, h, w)`` input.
 
     ``weight`` has shape ``(c_out, c_in // groups, k, k)``. Realized as
-    im2col (a strided patch view collapsed to a matrix) followed by one
-    batched matmul per call; the backward pass scatters gradients back
-    through the same patch geometry.
+    im2col (a strided patch view collapsed to a matrix) followed by
+    batched matmuls; the backward pass scatters gradients back through the
+    same patch geometry, so while the graph is recorded the patch matrix
+    covers the whole map. Under ``no_grad`` it is built in row bands.
     """
     x = _as_tensor(x)
     weight = _as_tensor(weight)
@@ -426,21 +431,27 @@ def conv2d(x, weight, bias=None, stride=1, dilation=1, groups=1, zero_padding=0)
         xp = xd
     hp, wp = xp.shape[2], xp.shape[3]
     L = oh * ow
+    k = cg * kh * kw
 
-    if kh == 1 and kw == 1 and stride == 1 and p == 0:
-        cols = np.ascontiguousarray(xp).reshape(n, g, cg, L)
+    if _GRAD_ENABLED or (kh == 1 and kw == 1 and stride == 1 and p == 0):
+        # backward keeps the whole patch matrix; a 1x1 one is the input itself
+        rows = oh
     else:
-        sn, sc, sh, sw = xp.strides
+        rows = max(1, _PATCH_BAND_BYTES // (g * k * ow * xp.itemsize))
+    wmat = wd.reshape(g, cog, k)
+    out = np.empty((n, g, cog, L), dtype=np.result_type(wd, xd))
+    sn, sc, sh, sw = xp.strides
+    for r0 in range(0, oh, rows):
+        r = min(rows, oh - r0)
         view = np.lib.stride_tricks.as_strided(
-            xp,
-            shape=(n, g, cg, kh, kw, oh, ow),
+            xp[:, :, r0 * stride:],
+            shape=(n, g, cg, kh, kw, r, ow),
             strides=(sn, cg * sc, sc, dilation * sh, dilation * sw, stride * sh, stride * sw),
             writeable=False,
         )
-        cols = view.reshape(n, g, cg * kh * kw, L)
-
-    wmat = wd.reshape(g, cog, cg * kh * kw)
-    out = np.matmul(wmat, cols).reshape(n, c_out, oh, ow)
+        cols = view.reshape(n, g, k, r * ow)
+        np.matmul(wmat, cols, out=out[..., r0 * ow:(r0 + r) * ow])
+    out = out.reshape(n, c_out, oh, ow)
     if bias is not None:
         out = out + bias.data.reshape(1, c_out, 1, 1)
 

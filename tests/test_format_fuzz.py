@@ -1,16 +1,22 @@
-"""Seeded byte-mutation fuzzing of the two binary readers.
+"""Seeded mutation fuzzing of the two binary readers.
 
-Each case flips 1-3 bytes of a valid file's prefix and header and, one
-time in four, also truncates it. A reader may accept the result or raise
-its declared error; any other exception is a defect.
+Each byte case flips 1-3 bytes of a valid file's prefix and header and, one
+time in four, also truncates it. Each value case drops a key from, or
+swaps the JSON type of a value in, a checkpoint header's counters, best
+value, config, Adam settings and RNG state. A reader may accept the result
+or raise its declared error; any other exception is a defect.
 """
+
+import json
 
 import numpy as np
 
 from hqinet.checkpoint import _PREFIX, CheckpointError, load_checkpoint, save_checkpoint
+from hqinet.dataset import build_triplets
 from hqinet.network import ModelConfig, build_model
 from hqinet.optim import Adam
-from hqinet.runconfig import RunConfig
+from hqinet.runconfig import DataConfig, RunConfig
+from hqinet.trainer import train
 from hqinet.volume_io import VolumeFormatError, read_volume, write_volume
 
 CASES = 1500
@@ -57,3 +63,69 @@ def test_volume_mutations_raise_only_volume_errors(tmp_path):
     escaped = _fuzz(raw, 20, str(tmp_path / "bad.hqiv"), read_volume,
                     VolumeFormatError, seed=1)
     assert not escaped, escaped[:5]
+
+
+VALUE_CASES = 150
+# Replacements for a header value; each case picks one whose type differs.
+SWAPS = (None, True, "x", [], {}, 1.5, 7, -1)
+
+
+def _value_paths(header):
+    """Key paths to every value under the fuzzed header fields; the
+    config is swapped whole, its contents belong to RunConfig."""
+    paths = []
+
+    def walk(node, path):
+        paths.append(path)
+        if isinstance(node, dict) and path[0] != "config":
+            for key in node:
+                walk(node[key], path + (key,))
+
+    for key in ("adam", "rng", "epoch", "step", "best_val", "config"):
+        walk(header[key], (key,))
+    return paths
+
+
+def test_checkpoint_value_mutations_raise_only_checkpoint_errors(tmp_path):
+    rng = np.random.default_rng(2)
+    vol = rng.random((4, 32, 32)).astype(np.float32)
+    triplets = build_triplets(vol, vol)
+    # A checkpoint of the final epoch, so an accepted resume trains no step.
+    cfg = RunConfig(epochs=1, data=DataConfig(crop=16), output_dir=str(tmp_path / "run"))
+    model = build_model(cfg.model, seed=cfg.seed)
+    opt = Adam(list(model.named_parameters()), lr=1e-3)
+    path = str(tmp_path / "ok.hqic")
+    save_checkpoint(path, model, opt, cfg.to_dict(), 1, 2,
+                    np.random.default_rng(0).bit_generator.state, best_val=0.25)
+    raw = open(path, "rb").read()
+    magic, version, head_len = _PREFIX.unpack_from(raw)
+    head = json.loads(raw[_PREFIX.size:_PREFIX.size + head_len])
+    blobs = raw[_PREFIX.size + head_len:]
+    paths = _value_paths(head)
+    bad = str(tmp_path / "bad.hqic")
+    escaped, rejected = [], 0
+    for case in range(VALUE_CASES):
+        header = json.loads(json.dumps(head))
+        *parents, key = paths[rng.integers(len(paths))]
+        node = header
+        for p in parents:
+            node = node[p]
+        old = node[key]
+        if rng.random() < 0.3:
+            del node[key]
+        else:
+            options = [s for s in SWAPS if type(s) is not type(old)]
+            node[key] = options[rng.integers(len(options))]
+        new_head = json.dumps(header).encode()
+        with open(bad, "wb") as f:
+            f.write(_PREFIX.pack(magic, version, len(new_head)) + new_head + blobs)
+        for read in (load_checkpoint,
+                     lambda p: train(cfg, resume=p, triplets=triplets, val_triplets=triplets)):
+            try:
+                read(bad)
+            except CheckpointError:
+                rejected += 1
+            except Exception as exc:
+                escaped.append((case, parents + [key], type(exc).__name__, str(exc)[:80]))
+    assert not escaped, escaped[:5]
+    assert rejected > VALUE_CASES  # most mutations are malformed

@@ -1,6 +1,8 @@
 """Differentiable op semantics: forward values against naive oracles,
 backward passes against central finite differences."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,85 @@ class TestConv2d:
         assert T.conv_output_size(8, 3, 1, 1, 0) == 6
         assert T.conv_output_size(9, 3, 2, 1, 1) == 5
         assert T.conv_output_size(8, 3, 1, 2, 2) == 8
+
+
+def _gaussian_window(size=11, sigma=1.5):
+    g = np.exp(-((np.arange(size) - (size - 1) / 2.0) ** 2) / (2.0 * sigma ** 2))
+    w2 = np.outer(g, g)
+    return (w2 / w2.sum()).reshape(1, 1, size, size)
+
+
+class TestConv2dRowBands:
+    """Under ``no_grad`` conv2d multiplies its patch matrix in bands of output
+    rows; with the graph recorded it uses one band over the whole map."""
+
+    # (n, cin, cout, h, w, k, stride, dilation, groups, padding, bias, band rows);
+    # every output height but the 1x1 stride-1 one leaves a partial last band.
+    CASES = [
+        (2, 3, 4, 13, 11, 3, 1, 1, 1, 1, True, 3),
+        (1, 4, 6, 15, 9, 3, 2, 1, 1, 0, False, 3),
+        (2, 4, 4, 16, 12, 3, 1, 2, 1, 3, True, 4),
+        (1, 6, 6, 14, 10, 3, 1, 3, 6, 3, False, 3),
+        (2, 6, 6, 17, 8, 3, 2, 1, 6, 1, True, 2),
+        (1, 2, 5, 13, 7, 1, 2, 1, 1, 0, True, 2),
+        (1, 4, 3, 9, 9, 1, 1, 1, 1, 0, False, 2),
+        (1, 3, 2, 13, 10, 5, 1, 2, 1, 3, True, 5),
+    ]
+
+    @staticmethod
+    def _compare(x, w, b, stride=1, dilation=1, groups=1, padding=0):
+        kw = dict(stride=stride, dilation=dilation, groups=groups)
+        want = conv2d_naive(x, w, b, padding=padding, **kw)
+        kw["zero_padding"] = padding
+        for dtype, tol in ((np.float32, 1e-6), (np.float64, 1e-12)):
+            xt = Tensor(x.astype(dtype), requires_grad=True)
+            wt = Tensor(w.astype(dtype), requires_grad=True)
+            bt = None if b is None else Tensor(b.astype(dtype), requires_grad=True)
+            whole = T.conv2d(xt, wt, bt, **kw).data
+            with T.no_grad():
+                banded = T.conv2d(xt, wt, bt, **kw)
+            assert not banded.requires_grad and banded._backward is None
+            assert banded.data.dtype == dtype and banded.data.shape == want.shape
+            scale = np.abs(want).max()
+            assert np.abs(banded.data - whole).max() <= tol * scale
+            assert np.abs(banded.data - want).max() <= tol * scale
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_bands_match_whole_map_and_oracle(self, case, monkeypatch):
+        n, cin, cout, h, w, k, stride, dilation, groups, padding, bias, rows = case
+        ow = T.conv_output_size(w, k, stride, dilation, padding)
+        # The budget is bytes of patch matrix per sample; size it to ``rows``
+        # rows of float64, so float32 bands are twice as tall.
+        monkeypatch.setattr(T, "_PATCH_BAND_BYTES", rows * cin * k * k * ow * 8)
+        x = rand((n, cin, h, w), 41).astype(np.float32)
+        wt = rand((cout, cin // groups, k, k), 42).astype(np.float32)
+        b = rand((cout,), 43).astype(np.float32) if bias else None
+        self._compare(x, wt, b, stride, dilation, groups, padding)
+
+    @pytest.mark.parametrize("n,size", [(2, 64), (1, 128)])
+    def test_ssim_window_matches_whole_map_and_oracle(self, n, size):
+        x = rand((n, 1, size, size), 44).astype(np.float32)
+        self._compare(x, _gaussian_window().astype(np.float32), None)
+
+    def test_no_grad_peak_memory_stays_below_patch_matrix(self):
+        # The desk head's fuse conv at inference size: its whole-map patch
+        # matrix is 4 x 378 x 128^2 float32, 99 MB.
+        x = Tensor(rand((4, 42, 128, 128), 45).astype(np.float32))
+        w = Tensor(rand((6, 42, 3, 3), 46).astype(np.float32))
+
+        def peak():
+            tracemalloc.start()
+            try:
+                T.conv2d(x, w, zero_padding=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        with T.no_grad():
+            banded = peak()
+        whole = peak()
+        assert banded < 16 * 2**20
+        assert whole >= 4 * 378 * 128 * 128 * 4
 
 
 class TestStructuralOps:

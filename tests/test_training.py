@@ -424,7 +424,7 @@ class TestCLI:
                      "--checkpoint", str(tmp_path / "missing.hqic")]) == 3
         capsys.readouterr()
 
-    def test_malformed_checkpoint_header_exit_code(self, run, tmp_path, capsys):
+    def test_malformed_checkpoint_header_exit_code(self, run, data_dir, tmp_path, capsys):
         raw = open(run.last_path, "rb").read()
         magic, version, head_len = ckpt._PREFIX.unpack_from(raw)
         start = ckpt._PREFIX.size
@@ -441,13 +441,27 @@ class TestCLI:
         for mutate in (lambda h: h.pop("adam"), lambda h: h.pop("buffers"),
                        lambda h: h["params"][0].__setitem__(1, [-1]),
                        lambda h: h["params"][0].__setitem__(2, "<i4"),
-                       lambda h: h["buffers"][0].pop()):
+                       lambda h: h["buffers"][0].pop(),
+                       lambda h: h["adam"].pop("step_count"),
+                       lambda h: h["adam"].__setitem__("lr", "1e-3"),
+                       lambda h: h["rng"].__setitem__("bit_generator", "MT19937"),
+                       lambda h: h["rng"].__setitem__("state", 5),
+                       lambda h: h.__setitem__("epoch", 1.0),
+                       lambda h: h.__setitem__("step", -1),
+                       lambda h: h.__setitem__("best_val", "0.5")):
             write(mutate)
             with pytest.raises(CheckpointError):
                 load_checkpoint(bad)
         write(lambda h: h.pop("adam"))
         assert main(["eval", "--checkpoint", bad, "--out", str(tmp_path / "eval")]) == 3
         assert "header" in capsys.readouterr().err
+        cfg_path = self._write_config(tmp_path, data_dir, str(tmp_path / "resumed"), epochs=1)
+        for mutate in (lambda h: h["adam"].pop("step_count"),
+                       lambda h: h["rng"].__setitem__("bit_generator", "MT19937"),
+                       lambda h: h.__setitem__("epoch", "1")):
+            write(mutate)
+            assert main(["train", "--config", cfg_path, "--resume", bad]) == 3
+            assert "header" in capsys.readouterr().err
 
     def test_train_without_best_checkpoint_says_so(self, data_dir, tmp_path, capsys,
                                                    monkeypatch):

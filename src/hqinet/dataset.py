@@ -66,19 +66,6 @@ class SyntheticSpec:
         if self.low_i0 <= 0 or self.full_i0 <= 0:
             raise ValueError("dose levels must be > 0")
 
-    def to_dict(self):
-        d = dict(self.__dict__)
-        d["n_ellipses_range"] = list(self.n_ellipses_range)
-        return d
-
-    @classmethod
-    def from_dict(cls, d):
-        known = set(cls.__dataclass_fields__)
-        extra = set(d) - known
-        if extra:
-            raise ValueError(f"unknown synthetic spec fields: {sorted(extra)}")
-        return cls(**d)
-
 
 def build_triplets(low_volume, full_volume, patient_id=""):
     """One triplet per interior slice; channels ordered (i-1, i, i+1)."""

@@ -36,13 +36,6 @@ class LossWeights:
             raise ValueError(
                 f"loss weights must be >= 0, got alpha={self.alpha} beta={self.beta}")
 
-    def to_dict(self):
-        return {"alpha": self.alpha, "beta": self.beta}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class SsimParams:
@@ -69,14 +62,6 @@ class SsimParams:
             object.__setattr__(self, "c2", (0.03 * self.data_range) ** 2)
         if self.c1 <= 0 or self.c2 <= 0:
             raise ValueError(f"c1, c2 must be > 0, got {self.c1}, {self.c2}")
-
-    def to_dict(self):
-        return {"window_size": self.window_size, "window_sigma": self.window_sigma,
-                "data_range": self.data_range, "c1": self.c1, "c2": self.c2}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
 
 
 def _as4d(x):

@@ -107,8 +107,7 @@ class MetricsReport:
         return out
 
 
-def metrics_report(pred_set, ref_set, bins=64, data_range=1.0,
-                   psnr_mode="standard", psnr_peak=None) -> MetricsReport:
+def metrics_report(pred_set, ref_set) -> MetricsReport:
     preds = list(pred_set)
     refs = list(ref_set)
     if len(preds) != len(refs):
@@ -119,8 +118,8 @@ def metrics_report(pred_set, ref_set, bins=64, data_range=1.0,
     for p, r in zip(preds, refs):
         per["l1"].append(l1_error(p, r))
         per["nmse"].append(nmse(p, r))
-        per["psnr_db"].append(psnr(p, r, mode=psnr_mode, peak=psnr_peak))
-        per["mi"].append(mutual_information(p, r, bins=bins, data_range=data_range))
+        per["psnr_db"].append(psnr(p, r))
+        per["mi"].append(mutual_information(p, r))
     n = len(preds)
     mean = {k: float(np.mean(v)) for k, v in per.items()}
     std = {k: (float(np.std(v, ddof=1)) if n > 1 else 0.0) for k, v in per.items()}

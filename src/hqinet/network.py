@@ -13,7 +13,7 @@ restored middle slice. No activation is applied to the final output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,27 +107,6 @@ class ModelConfig:
             "skip_proj": self.scaled(self.skip_projection_channels),
             "decoder": tuple(self.scaled(c) for c in self.decoder_channels),
         }
-
-    def to_dict(self):
-        return {
-            "stem_channels": self.stem_channels,
-            "stage_block_counts": list(self.stage_block_counts),
-            "stage_channels": list(self.stage_channels),
-            "se_reduction": self.se_reduction,
-            "aspp_rates": list(self.aspp_rates),
-            "aspp_channels": self.aspp_channels,
-            "skip_projection_channels": self.skip_projection_channels,
-            "decoder_channels": list(self.decoder_channels),
-            "width_multiplier": self.width_multiplier,
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(d) - known
-        if extra:
-            raise ValueError(f"unknown model config fields: {sorted(extra)}")
-        return cls(**d)
 
 
 @dataclass

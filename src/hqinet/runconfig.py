@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, fields, is_dataclass
 
 from .dataset import SyntheticSpec
 from .errors import ConfigError
@@ -13,6 +14,55 @@ from .losses import LossWeights, SsimParams
 from .network import ModelConfig
 
 __all__ = ["OptimizerConfig", "DataConfig", "RunConfig"]
+
+# The JSON types a field of each annotated type takes, and the type's name in
+# errors. A bool is never taken as a number, although Python's bool is an int.
+_JSON_TYPES = {int: ((int,), "int"), float: ((int, float), "float"),
+               str: ((str,), "str"), bool: ((bool,), "bool"),
+               tuple: ((list,), "a list of int")}
+
+
+def _write(config):
+    """A config dataclass as a JSON object: nested configs become objects
+    and tuples become lists."""
+    out = {}
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if is_dataclass(value):
+            value = _write(value)
+        elif isinstance(value, tuple):
+            value = list(value)
+        out[f.name] = value
+    return out
+
+
+def _read(cls, d, where):
+    """The config dataclass ``cls`` built from the JSON object ``d``, which
+    sits at path ``where``. Missing keys keep their defaults; null is taken
+    only where the default is None. Unknown keys, values of the wrong JSON
+    type and out-of-range values raise ConfigError naming the path."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be an object, got {d!r}")
+    known = {f.name: f for f in fields(cls)}
+    extra = sorted(set(d) - set(known))
+    if extra:
+        raise ConfigError(f"unknown fields in {where}: {extra}")
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for key, value in d.items():
+        path, tp = f"{where}.{key}", hints[key]
+        if is_dataclass(tp):
+            value = _read(tp, value, path)
+        elif value is not None or known[key].default is not None:
+            types, name = _JSON_TYPES[tp]
+            if type(value) not in types or (
+                    tp is tuple and any(type(v) is not int for v in value)):
+                raise ConfigError(f"{path} must be {name}, got {value!r}")
+        kwargs[key] = value
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"invalid {where}: {exc}") from exc
 
 
 @dataclass
@@ -26,13 +76,6 @@ class OptimizerConfig:
         if self.lr <= 0:
             raise ValueError(f"lr must be > 0, got {self.lr}")
 
-    def to_dict(self):
-        return dict(self.__dict__)
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
-
 
 @dataclass
 class DataConfig:
@@ -45,17 +88,6 @@ class DataConfig:
             raise ValueError(f"crop must be >= 0, got {self.crop}")
         if self.crop and self.crop % 16:
             raise ValueError(f"crop must be divisible by 16, got {self.crop}")
-
-    def to_dict(self):
-        return {"root": self.root, "crop": self.crop,
-                "synthetic": self.synthetic.to_dict()}
-
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        if "synthetic" in d:
-            d["synthetic"] = SyntheticSpec.from_dict(d["synthetic"])
-        return cls(**d)
 
 
 @dataclass
@@ -91,40 +123,11 @@ class RunConfig:
                    data=DataConfig(crop=0))
 
     def to_dict(self):
-        return {
-            "model": self.model.to_dict(),
-            "loss_weights": self.loss_weights.to_dict(),
-            "ssim": self.ssim.to_dict(),
-            "optimizer": self.optimizer.to_dict(),
-            "batch_size": self.batch_size,
-            "epochs": self.epochs,
-            "seed": self.seed,
-            "data": self.data.to_dict(),
-            "output_dir": self.output_dir,
-            "strict_determinism": self.strict_determinism,
-        }
+        return _write(self)
 
     @classmethod
     def from_dict(cls, d):
-        d = dict(d)
-        known = set(cls.__dataclass_fields__)
-        extra = set(d) - known
-        if extra:
-            raise ConfigError(f"unknown run config fields: {sorted(extra)}")
-        try:
-            if "model" in d:
-                d["model"] = ModelConfig.from_dict(d["model"])
-            if "loss_weights" in d:
-                d["loss_weights"] = LossWeights.from_dict(d["loss_weights"])
-            if "ssim" in d:
-                d["ssim"] = SsimParams.from_dict(d["ssim"])
-            if "optimizer" in d:
-                d["optimizer"] = OptimizerConfig.from_dict(d["optimizer"])
-            if "data" in d:
-                d["data"] = DataConfig.from_dict(d["data"])
-            return cls(**d)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid run config: {exc}") from exc
+        return _read(cls, d, cls.__name__)
 
     def to_json(self, path):
         with open(path, "w") as f:
@@ -140,6 +143,4 @@ class RunConfig:
                 raw = json.load(f)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError(f"config file {path} must hold a JSON object")
         return cls.from_dict(raw)

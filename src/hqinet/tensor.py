@@ -169,102 +169,62 @@ def _unbroadcast(grad, shape):
 # -- elementwise arithmetic --------------------------------------------------
 
 
-def add(a, b):
+def _operands(a, b):
+    """``a`` as a tensor, ``b``'s data, and ``b`` as a tensor or None. A Python
+    number ``b`` is a constant: it records no parent and stays a Python
+    scalar, so numpy keeps ``a``'s dtype."""
     a = _as_tensor(a)
     if isinstance(b, (int, float)):
-        data = a.data + b
-
-        def bw(grad):
-            return [(a, grad)] if a.requires_grad else []
-
-        return _make(data, (a,), bw)
-
+        return a, b, None
     b = _as_tensor(b)
-    data = a.data + b.data
+    return a, b.data, b
+
+
+def _binary(data, a, b, grad_a, grad_b):
+    """Record a two-operand result; ``grad_a``/``grad_b`` map the output
+    gradient to each operand's before it is unbroadcast."""
 
     def bw(grad):
         out = []
         if a.requires_grad:
-            out.append((a, _unbroadcast(grad, a.data.shape)))
-        if b.requires_grad:
-            out.append((b, _unbroadcast(grad, b.data.shape)))
+            out.append((a, _unbroadcast(grad_a(grad), a.data.shape)))
+        if b is not None and b.requires_grad:
+            out.append((b, _unbroadcast(grad_b(grad), b.data.shape)))
         return out
 
-    return _make(data, (a, b), bw)
+    return _make(data, (a,) if b is None else (a, b), bw)
+
+
+def add(a, b):
+    a, bd, b = _operands(a, b)
+    return _binary(a.data + bd, a, b, lambda g: g, lambda g: g)
 
 
 def sub(a, b):
-    a = _as_tensor(a)
-    if isinstance(b, (int, float)):
-        data = a.data - b
-
-        def bw(grad):
-            return [(a, grad)] if a.requires_grad else []
-
-        return _make(data, (a,), bw)
-
-    b = _as_tensor(b)
-    data = a.data - b.data
-
-    def bw(grad):
-        out = []
-        if a.requires_grad:
-            out.append((a, _unbroadcast(grad, a.data.shape)))
-        if b.requires_grad:
-            out.append((b, _unbroadcast(-grad, b.data.shape)))
-        return out
-
-    return _make(data, (a, b), bw)
+    a, bd, b = _operands(a, b)
+    return _binary(a.data - bd, a, b, lambda g: g, lambda g: -g)
 
 
 def mul(a, b):
-    a = _as_tensor(a)
-    if isinstance(b, (int, float)):
-        data = a.data * b
-
-        def bw(grad):
-            return [(a, grad * b)] if a.requires_grad else []
-
-        return _make(data, (a,), bw)
-
-    b = _as_tensor(b)
-    data = a.data * b.data
-
-    def bw(grad):
-        out = []
-        if a.requires_grad:
-            out.append((a, _unbroadcast(grad * b.data, a.data.shape)))
-        if b.requires_grad:
-            out.append((b, _unbroadcast(grad * a.data, b.data.shape)))
-        return out
-
-    return _make(data, (a, b), bw)
+    a, bd, b = _operands(a, b)
+    return _binary(a.data * bd, a, b, lambda g: g * bd, lambda g: g * a.data)
 
 
 def div(a, b):
-    a = _as_tensor(a)
     if isinstance(b, (int, float)):
+        # The reciprocal rounds differently from a true division; strict
+        # loss logs are pinned to it.
         return mul(a, 1.0 / b)
-
-    b = _as_tensor(b)
-    data = a.data / b.data
-
-    def bw(grad):
-        out = []
-        if a.requires_grad:
-            out.append((a, _unbroadcast(grad / b.data, a.data.shape)))
-        if b.requires_grad:
-            out.append((b, _unbroadcast(-grad * data / b.data, b.data.shape)))
-        return out
-
-    return _make(data, (a, b), bw)
+    a, bd, b = _operands(a, b)
+    data = a.data / bd
+    return _binary(data, a, b, lambda g: g / bd, lambda g: -g * data / bd)
 
 
 def neg(a):
     a = _as_tensor(a)
 
     def bw(grad):
-        return [(a, -grad)] if a.requires_grad else []
+        return [(a, -grad)]
 
     return _make(-a.data, (a,), bw)
 
@@ -274,7 +234,7 @@ def sqrt(a):
     data = np.sqrt(a.data)
 
     def bw(grad):
-        return [(a, grad * (0.5 / data))] if a.requires_grad else []
+        return [(a, grad * (0.5 / data))]
 
     return _make(data, (a,), bw)
 
@@ -285,7 +245,7 @@ def absolute(a):
 
     def bw(grad):
         # subgradient 0 at exact ties
-        return [(a, grad * np.sign(a.data))] if a.requires_grad else []
+        return [(a, grad * np.sign(a.data))]
 
     return _make(data, (a,), bw)
 
@@ -295,7 +255,7 @@ def relu(a):
     data = np.maximum(a.data, 0)
 
     def bw(grad):
-        return [(a, grad * (a.data > 0))] if a.requires_grad else []
+        return [(a, grad * (a.data > 0))]
 
     return _make(data, (a,), bw)
 
@@ -310,7 +270,7 @@ def sigmoid(a):
     data[~pos] = ex / (1.0 + ex)
 
     def bw(grad):
-        return [(a, grad * data * (1.0 - data))] if a.requires_grad else []
+        return [(a, grad * data * (1.0 - data))]
 
     return _make(data, (a,), bw)
 
@@ -324,7 +284,7 @@ def reshape(a, shape):
     data = a.data.reshape(shape)
 
     def bw(grad):
-        return [(a, grad.reshape(orig))] if a.requires_grad else []
+        return [(a, grad.reshape(orig))]
 
     return _make(data, (a,), bw)
 
@@ -344,8 +304,6 @@ def tsum(a, axis=None, keepdims=False):
     data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def bw(grad):
-        if not a.requires_grad:
-            return []
         return [(a, _expand_reduced(grad, a.data.shape, axis, keepdims))]
 
     return _make(data, (a,), bw)
@@ -357,8 +315,6 @@ def tmean(a, axis=None, keepdims=False):
     count = a.data.size // max(data.size, 1)
 
     def bw(grad):
-        if not a.requires_grad:
-            return []
         g = _expand_reduced(grad, a.data.shape, axis, keepdims)
         return [(a, g / count)]
 
@@ -530,8 +486,6 @@ def bilinear_upsample(x, out_h, out_w):
     out = np.matmul(np.matmul(ry, xd), rx.T)
 
     def bw(grad):
-        if not x.requires_grad:
-            return []
         gx = np.matmul(np.matmul(ry.T, grad), rx)
         return [(x, gx)]
 

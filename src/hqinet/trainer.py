@@ -120,6 +120,9 @@ def train(config: RunConfig, resume=None, triplets=None, val_triplets=None) -> T
     if resume is not None:
         state = load_checkpoint(resume)
         check_model_config(config.to_dict(), state)
+        if state.epoch > config.epochs:
+            raise ConfigError(f"{resume} is from epoch {state.epoch}, past the "
+                              f"configured {config.epochs} epochs")
         restore_model_state(model, state)
         restore_optimizer_state(optimizer, state)
         rng = np.random.Generator(np.random.PCG64())
@@ -201,7 +204,7 @@ def _load_model_from_checkpoint(ckpt_path):
     return model, config, state
 
 
-def _predict_volume(model, low_volume, batch_size=4):
+def _predict_volume(model, low_volume, batch_size):
     """Model outputs for every interior slice of a low-dose volume."""
     n, h, w = low_volume.shape
     if h % 16 or w % 16:
@@ -217,8 +220,9 @@ def _predict_volume(model, low_volume, batch_size=4):
     return np.stack(preds)
 
 
-def evaluate(ckpt_path, data_dir, out_dir, split="test", psnr_mode="standard"):
-    """Metric table for low-dose inputs and model outputs vs full dose.
+def evaluate(ckpt_path, data_dir, out_dir):
+    """Metric table for the test split's low-dose inputs and model outputs
+    vs full dose.
 
     Writes report.txt (two rows mirroring the low-dose / model
     comparison) and report.json; returns (low_report, model_report).
@@ -226,7 +230,7 @@ def evaluate(ckpt_path, data_dir, out_dir, split="test", psnr_mode="standard"):
     model, config, _ = _load_model_from_checkpoint(ckpt_path)
     os.makedirs(out_dir, exist_ok=True)
     low_mids, full_mids, pred_mids = [], [], []
-    for pid, low, full, _manifest in load_volume_pairs(data_dir, split):
+    for pid, low, full, _manifest in load_volume_pairs(data_dir, "test"):
         if low.shape[0] < 3:
             raise DataError(f"{pid}: need >= 3 slices, got {low.shape[0]}")
         preds = _predict_volume(model, low, batch_size=config.batch_size)
@@ -234,8 +238,8 @@ def evaluate(ckpt_path, data_dir, out_dir, split="test", psnr_mode="standard"):
             low_mids.append(low[i])
             full_mids.append(full[i])
             pred_mids.append(preds[j])
-    low_report = metrics_report(low_mids, full_mids, psnr_mode=psnr_mode)
-    model_report = metrics_report(pred_mids, full_mids, psnr_mode=psnr_mode)
+    low_report = metrics_report(low_mids, full_mids)
+    model_report = metrics_report(pred_mids, full_mids)
     table = format_table([("Low-dose", low_report), ("HQINet", model_report)])
     with open(os.path.join(out_dir, "report.txt"), "w") as f:
         f.write(table)

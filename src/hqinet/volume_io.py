@@ -15,6 +15,8 @@ import struct
 
 import numpy as np
 
+from .errors import DataError
+
 __all__ = [
     "VolumeFormatError",
     "VolumeMagicError",
@@ -118,5 +120,13 @@ def write_manifest(volume_path, manifest):
 
 
 def read_manifest(volume_path):
-    with open(manifest_path(volume_path)) as f:
-        return json.load(f)
+    """The sidecar manifest as a dict; DataError when it is not a JSON object."""
+    path = manifest_path(volume_path)
+    with open(path) as f:
+        try:
+            manifest = json.load(f)
+        except ValueError as exc:  # JSON or UTF-8 decoding
+            raise DataError(f"manifest {path} is not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise DataError(f"manifest {path} must hold a JSON object")
+    return manifest

@@ -3,7 +3,8 @@
 Each test prints a single PASS/FAIL line with the measured values and
 the tolerance they are held to (run with -s to see the lines as they
 appear). Tests are ordered cheap to expensive; the final two train real
-models and dominate the runtime (roughly seven minutes on a desktop CPU).
+models and dominate the runtime (roughly seven minutes on a desktop CPU),
+so they carry the ``slow`` marker: ``-m "not slow"`` leaves them out.
 """
 
 import time
@@ -355,6 +356,7 @@ def test_format_robustness(tmp_path):
           f"magic/version/shape raise their distinct errors: {errors_ok}")
 
 
+@pytest.mark.slow
 def test_overfit_smoke(tmp_path):
     t0 = time.perf_counter()
     spec = SyntheticSpec(n_train=1, n_test=1, n_slices=10, size=64,
@@ -377,6 +379,7 @@ def test_overfit_smoke(tmp_path):
           f"(budget 300s)")
 
 
+@pytest.mark.slow
 def test_denoising_improvement(tmp_path_factory):
     root = tmp_path_factory.mktemp("desk")
     data_dir = str(root / "data")

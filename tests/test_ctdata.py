@@ -14,9 +14,10 @@ from hqinet.dataset import (SliceTriplet, SyntheticSpec, build_triplets,
                             generate_dataset, generate_patient_pair,
                             load_triplets, load_volume_pairs, random_crop,
                             stack_batch)
-from hqinet.errors import DataError
+from hqinet.errors import ConfigError, DataError
 from hqinet.metrics import nmse, psnr
 from hqinet import volume_io
+from hqinet.runconfig import DataConfig, RunConfig
 from hqinet.volume_io import (VolumeDtypeError, VolumeMagicError,
                               VolumeShapeError, VolumeTruncatedError,
                               VolumeVersionError, manifest_path, read_manifest,
@@ -389,9 +390,10 @@ class TestSyntheticSpec:
 
     def test_dict_round_trip(self):
         spec = SyntheticSpec(n_train=2, size=32)
-        assert SyntheticSpec.from_dict(spec.to_dict()) == spec
-        with pytest.raises(ValueError):
-            SyntheticSpec.from_dict({"n_train": 2, "bogus": 1})
+        cfg = RunConfig(data=DataConfig(synthetic=spec))
+        assert RunConfig.from_dict(cfg.to_dict()).data.synthetic == spec
+        with pytest.raises(ConfigError):
+            RunConfig.from_dict({"data": {"synthetic": {"n_train": 2, "bogus": 1}}})
 
 
 class TestPatientPair:

@@ -1,10 +1,14 @@
-"""Seeded mutation fuzzing of the two binary readers.
+"""Seeded mutation fuzzing of the two binary readers and the config reader.
 
 Each byte case flips 1-3 bytes of a valid file's prefix and header and, one
 time in four, also truncates it. Each value case drops a key from, or
 swaps the JSON type of a value in, a checkpoint header's counters, best
 value, config, Adam settings and RNG state. A reader may accept the result
-or raise its declared error; any other exception is a defect.
+or raise its declared error; any other exception is a defect. Each config
+case swaps the JSON type of one value of a run config, or adds an unknown
+key to one of its objects; the config reader must reject every one of them
+with ConfigError, apart from an integer for a float and null where a
+field's default is None.
 """
 
 import json
@@ -13,6 +17,7 @@ import numpy as np
 
 from hqinet.checkpoint import _PREFIX, CheckpointError, load_checkpoint, save_checkpoint
 from hqinet.dataset import build_triplets
+from hqinet.errors import ConfigError
 from hqinet.network import ModelConfig, build_model
 from hqinet.optim import Adam
 from hqinet.runconfig import DataConfig, RunConfig
@@ -129,3 +134,68 @@ def test_checkpoint_value_mutations_raise_only_checkpoint_errors(tmp_path):
                 escaped.append((case, parents + [key], type(exc).__name__, str(exc)[:80]))
     assert not escaped, escaped[:5]
     assert rejected > VALUE_CASES  # most mutations are malformed
+
+
+CONFIG_CASES = 200
+# Replacements for a config value; each case picks one whose type differs.
+CONFIG_SWAPS = (2.5, 7, "x", True, None, [1, 2], {"k": 1})
+# The fields whose default is None, so null keeps that default.
+NULLABLE = {("ssim", "c1"), ("ssim", "c2")}
+
+
+def _config_paths(config):
+    """(objects, values): key paths to every object of a config dict and to
+    every value under them, lists and their elements included."""
+    objects, values = [], []
+
+    def walk(node, path):
+        if path:
+            values.append(path)
+        if isinstance(node, dict):
+            objects.append(path)
+            for key in node:
+                walk(node[key], path + (key,))
+        elif isinstance(node, list):
+            for i, item in enumerate(node):
+                walk(item, path + (i,))
+
+    walk(config, ())
+    return objects, values
+
+
+def test_config_mutations_raise_only_config_errors():
+    base = RunConfig.desk().to_dict()
+    objects, values = _config_paths(base)
+    rng = np.random.default_rng(3)
+    wrong, rejected = [], 0
+    for case in range(CONFIG_CASES):
+        config = json.loads(json.dumps(base))
+        if rng.random() < 0.2:
+            path = objects[rng.integers(len(objects))]
+            node, key, old, new = config, "unknown_key", None, 1
+            for p in path:
+                node = node[p]
+        else:
+            *parents, key = path = values[rng.integers(len(values))]
+            node = config
+            for p in parents:
+                node = node[p]
+            old = node[key]
+            options = [s for s in CONFIG_SWAPS if type(s) is not type(old)]
+            new = options[rng.integers(len(options))]
+        node[key] = new
+        # Every float in the desk config is a float field's value.
+        accept = (new is None and path in NULLABLE
+                  or type(new) is int and type(old) is float)
+        try:
+            RunConfig.from_dict(config)
+            if not accept:
+                wrong.append((case, path, new, "accepted"))
+        except ConfigError:
+            rejected += 1
+            if accept:
+                wrong.append((case, path, new, "rejected"))
+        except Exception as exc:
+            wrong.append((case, path, new, type(exc).__name__))
+    assert not wrong, wrong[:5]
+    assert rejected > 0.9 * CONFIG_CASES

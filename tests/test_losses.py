@@ -6,6 +6,7 @@ import pytest
 from hqinet import tensor as T
 from hqinet.tensor import Tensor
 from hqinet.losses import LossWeights, SsimParams, l1_loss, loss_terms, ssim, ssim_loss
+from hqinet.runconfig import RunConfig
 
 from _gradcheck import check
 from _oracles import gaussian_window_naive, ssim_windowed_naive
@@ -25,7 +26,7 @@ class TestParams:
         with pytest.raises(ValueError):
             LossWeights(alpha=-0.1)
         w = LossWeights(0.7, 0.3)
-        assert LossWeights.from_dict(w.to_dict()) == w
+        assert RunConfig.from_dict(RunConfig(loss_weights=w).to_dict()).loss_weights == w
 
     def test_ssim_param_defaults(self):
         p = SsimParams()
@@ -48,7 +49,7 @@ class TestParams:
 
     def test_ssim_param_round_trip(self):
         p = SsimParams(window_size=7, window_sigma=2.0)
-        assert SsimParams.from_dict(p.to_dict()) == p
+        assert RunConfig.from_dict(RunConfig(ssim=p).to_dict()).ssim == p
 
 
 class TestIdentities:

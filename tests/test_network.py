@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from hqinet import tensor as T
+from hqinet.errors import ConfigError
+from hqinet.runconfig import RunConfig
 from hqinet.tensor import Tensor
 from hqinet.network import (ASPP, Bottleneck, ChannelSE, DecoderBlock,
                             EXPANSION, HQINet, ModelConfig,
@@ -96,9 +98,9 @@ class TestModelConfig:
 
     def test_dict_round_trip(self):
         cfg = ModelConfig.desk()
-        assert ModelConfig.from_dict(cfg.to_dict()) == cfg
-        with pytest.raises(ValueError):
-            ModelConfig.from_dict({"stem_channels": 16, "oops": 1})
+        assert RunConfig.from_dict(RunConfig(model=cfg).to_dict()).model == cfg
+        with pytest.raises(ConfigError):
+            RunConfig.from_dict({"model": {"stem_channels": 16, "oops": 1}})
 
 
 class TestAttentionGates:

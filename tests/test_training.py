@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from hqinet.network import ModelConfig, build_model
 from hqinet.optim import Adam
 from hqinet.runconfig import DataConfig, OptimizerConfig, RunConfig
 from hqinet.trainer import LOG_HEADER, evaluate, reconstruct, train
-from hqinet.volume_io import read_manifest, read_volume
+from hqinet.volume_io import manifest_path, read_manifest, read_volume
 
 SPEC = SyntheticSpec(n_train=2, n_test=1, n_slices=4, size=32,
                      n_views=24, n_detectors=47)
@@ -343,12 +344,18 @@ class TestRunConfig:
             RunConfig.from_json(str(arr))
 
     def test_from_dict_errors(self):
-        with pytest.raises(ConfigError):
-            RunConfig.from_dict({"bogus_field": 1})
-        with pytest.raises(ConfigError):
-            RunConfig.from_dict({"optimizer": {"lr": -1.0}})
-        with pytest.raises(ConfigError):
-            RunConfig.from_dict({"batch_size": 0})
+        for bad in ({"bogus_field": 1}, {"optimizer": {"lr": -1.0}}, {"batch_size": 0},
+                    {"epochs": True}, {"optimizer": {"lr": True}}, {"seed": "7"},
+                    {"model": {"aspp_rates": [1, 2, 3.0]}}, {"model": []},
+                    {"output_dir": None}, {"strict_determinism": 0}):
+            with pytest.raises(ConfigError):
+                RunConfig.from_dict(bad)
+        with pytest.raises(ConfigError, match="RunConfig.data.crop must be int, got 16.0"):
+            RunConfig.from_dict({"data": {"crop": 16.0}})
+
+    def test_from_dict_takes_int_for_float_and_null_for_none_default(self):
+        assert RunConfig.from_dict({"optimizer": {"lr": 1}}).optimizer.lr == 1
+        assert RunConfig.from_dict({"ssim": {"c1": None}}).ssim.c1 == pytest.approx(1e-4)
 
     def test_data_config_crop_validation(self):
         with pytest.raises(ValueError):
@@ -407,6 +414,44 @@ class TestCLI:
         bad.write_text('{"bogus_field": 1}')
         assert main(["train", "--config", str(bad)]) == 2
         capsys.readouterr()
+
+    def test_wrong_json_type_is_config_error(self, data_dir, tmp_path, capsys):
+        good = make_config(data_dir, tmp_path / "run").to_dict()
+        path = tmp_path / "config.json"
+        for key, value, where in (("seed", 1.5, "seed"), ("batch_size", 2.5, "batch_size"),
+                                  ("data", dict(good["data"], crop=16.0), "data.crop")):
+            path.write_text(json.dumps(dict(good, **{key: value})))
+            assert main(["train", "--config", str(path)]) == 2
+            assert f"RunConfig.{where} must be int" in capsys.readouterr().err
+
+    def test_resume_past_configured_epochs_is_config_error(self, data_dir, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        train(make_config(data_dir, run_dir, epochs=2))
+        before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+        resume = str(run_dir / "epoch_002.hqic")
+        cfg_path = self._write_config(tmp_path, data_dir, str(run_dir), epochs=1)
+        assert main(["train", "--config", cfg_path, "--resume", resume]) == 2
+        assert "past the configured 1 epochs" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+        # Resuming at exactly the configured epoch trains nothing.
+        cfg_path = self._write_config(tmp_path, data_dir, str(run_dir), epochs=2)
+        assert main(["train", "--config", cfg_path, "--resume", resume]) == 0
+        assert "trained 0 epochs" in capsys.readouterr().out
+        assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+
+    def test_malformed_manifest_is_data_error(self, run, data_dir, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        low = str(data / "test" / "p002_low.hqiv")
+        for text in ("{nope", "[1, 2]"):
+            with open(manifest_path(low), "w") as f:
+                f.write(text)
+            assert main(["eval", "--checkpoint", run.last_path, "--data", str(data),
+                         "--out", str(tmp_path / "eval")]) == 3
+            assert "manifest" in capsys.readouterr().err
+            assert main(["reconstruct", "--checkpoint", run.last_path, "--input", low,
+                         "--out", str(tmp_path / "recon")]) == 3
+            assert "manifest" in capsys.readouterr().err
 
     def test_crop_larger_than_slice_is_config_error(self, data_dir, tmp_path, capsys):
         cfg = make_config(data_dir, tmp_path / "run")

@@ -54,8 +54,8 @@ def _build_parser():
 
 def _load_config(args) -> RunConfig:
     config = RunConfig.from_json(args.config) if args.config else RunConfig.desk()
-    if args.seed is not None:
-        config.seed = args.seed
+    if args.seed is not None:  # through the reader, which checks the value
+        config = RunConfig.from_dict(dict(config.to_dict(), seed=args.seed))
     if args.out:
         config.output_dir = args.out
     if args.strict_determinism:

@@ -65,6 +65,12 @@ class SyntheticSpec:
             raise ValueError(f"n_slices must be >= 3 for triplets, got {self.n_slices}")
         if self.low_i0 <= 0 or self.full_i0 <= 0:
             raise ValueError("dose levels must be > 0")
+        if self.size < 32 or self.n_views < 1 or self.n_detectors < 1:
+            raise ValueError(f"need size >= 32, n_views >= 1 and n_detectors >= 1, got "
+                             f"{self.size}, {self.n_views}, {self.n_detectors}")
+        lo_hi = self.n_ellipses_range
+        if len(lo_hi) != 2 or not 1 <= lo_hi[0] <= lo_hi[1]:
+            raise ValueError(f"n_ellipses_range needs 1 <= low <= high, got {lo_hi}")
 
 
 def build_triplets(low_volume, full_volume, patient_id=""):

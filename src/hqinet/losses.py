@@ -4,7 +4,8 @@ All functions here build on the differentiable tensor ops, so gradients
 flow to the prediction. The similarity index uses local Gaussian-window
 statistics by default; a non-positive ``window_sigma`` selects a uniform
 window, and a uniform window spanning the whole image reduces exactly to
-the single-global-statistics form.
+the single-global-statistics form. Both windows are separable (Wang et al.
+2004), so they are applied along each axis in turn.
 """
 
 from __future__ import annotations
@@ -84,32 +85,23 @@ def l1_loss(pred, ref):
     return T.tmean(T.absolute(T.sub(p, r)))
 
 
-_WINDOW_CACHE = {}
-
-
-def _window(channels, size, sigma, dtype):
-    key = (channels, size, float(sigma), np.dtype(dtype).str)
-    win = _WINDOW_CACHE.get(key)
-    if win is None:
-        if sigma > 0:
-            d = np.arange(size, dtype=np.float64) - (size - 1) / 2.0
-            g = np.exp(-(d * d) / (2.0 * sigma * sigma))
-            w2 = np.outer(g, g)
-        else:
-            w2 = np.ones((size, size), dtype=np.float64)
-        w2 = w2 / w2.sum()
-        arr = np.ascontiguousarray(
-            np.broadcast_to(w2.astype(dtype), (channels, 1, size, size)))
-        win = Tensor(arr)
-        _WINDOW_CACHE[key] = win
-    return win
+def _window_rows(n, size, sigma, dtype):
+    """``(n - size + 1, n)`` band matrix whose row ``r`` holds the normalized
+    1-D window (Gaussian for sigma > 0, else uniform) at columns ``r`` to
+    ``r + size - 1``, so ``A_h · X · A_wᵀ`` is the 2-D window's mean."""
+    d = np.arange(size, dtype=np.float64) - (size - 1) / 2.0
+    g = np.exp(-(d * d) / (2.0 * sigma * sigma)) if sigma > 0 else np.ones(size)
+    r = np.arange(n - size + 1)[:, None]
+    rows = np.zeros((n - size + 1, n))
+    rows[r, r + np.arange(size)] = g / g.sum()
+    return rows.astype(dtype)
 
 
 def ssim(pred, ref, params: SsimParams = None):
     """Mean local structural similarity, differentiable, in [-1, 1].
 
-    Per-window means, variances and covariance come from a depthwise
-    convolution with the (normalized) window; the variance uses the
+    Per-window means, variances and covariance come from the (normalized)
+    window applied as one band matrix per axis; the variance uses the
     biased form E[x^2] - E[x]^2 over the window weights.
     """
     if params is None:
@@ -118,16 +110,14 @@ def ssim(pred, ref, params: SsimParams = None):
     y = _as4d(ref)
     if x.data.shape != y.data.shape:
         raise ValueError(f"shape mismatch: {x.data.shape} vs {y.data.shape}")
-    n, c, h, w = x.data.shape
+    h, w = x.data.shape[2:]
     k = params.window_size
     if k > min(h, w):
         raise ValueError(f"window {k} larger than image {h}x{w}")
-    win = _window(c, k, params.window_sigma, x.data.dtype)
-    mu_x = T.conv2d(x, win, groups=c)
-    mu_y = T.conv2d(y, win, groups=c)
-    e_xx = T.conv2d(T.mul(x, x), win, groups=c)
-    e_yy = T.conv2d(T.mul(y, y), win, groups=c)
-    e_xy = T.conv2d(T.mul(x, y), win, groups=c)
+    ah = _window_rows(h, k, params.window_sigma, x.data.dtype)
+    aw = _window_rows(w, k, params.window_sigma, x.data.dtype)
+    mu_x, mu_y, e_xx, e_yy, e_xy = [T.separable(t, ah, aw) for t in (
+        x, y, T.mul(x, x), T.mul(y, y), T.mul(x, y))]
     mu_xx = T.mul(mu_x, mu_x)
     mu_yy = T.mul(mu_y, mu_y)
     mu_xy = T.mul(mu_x, mu_y)

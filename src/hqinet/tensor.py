@@ -19,6 +19,8 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = [
@@ -38,6 +40,7 @@ __all__ = [
     "tmean",
     "conv2d",
     "conv_output_size",
+    "separable",
     "bilinear_upsample",
     "global_avg_pool",
     "concat_channels",
@@ -46,9 +49,9 @@ __all__ = [
 
 _GRAD_ENABLED = True
 
-# Under no_grad, conv2d builds its patch matrix in bands of output rows of
-# about this many bytes per sample, so each band stays in cache until used.
-_PATCH_BAND_BYTES = 1 << 18
+# conv2d accumulates its taps into bands of output rows whose input and
+# output rows take about this many bytes per sample, so a band stays in cache.
+_BAND_BYTES = 1 << 18
 
 
 class no_grad:
@@ -331,11 +334,12 @@ def conv_output_size(size, kernel, stride, dilation, padding):
 def conv2d(x, weight, bias=None, stride=1, dilation=1, groups=1, zero_padding=0):
     """2-D cross-correlation over ``(n, c, h, w)`` input.
 
-    ``weight`` has shape ``(c_out, c_in // groups, k, k)``. Realized as
-    im2col (a strided patch view collapsed to a matrix) followed by
-    batched matmuls; the backward pass scatters gradients back through the
-    same patch geometry, so while the graph is recorded the patch matrix
-    covers the whole map. Under ``no_grad`` it is built in row bands.
+    ``weight`` has shape ``(c_out, c_in // groups, k, k)``. A direct
+    convolution with no patch matrix (Zhang, Franchetti & Low, ICML 2018):
+    the input is zero-padded once into a flat buffer per stride phase, in
+    which each tap is one contiguous slice and one batched matmul,
+    accumulated into bands of output rows that are ``wq`` wide. The
+    backward pass runs the same taps transposed and keeps only the buffer.
     """
     x = _as_tensor(x)
     weight = _as_tensor(weight)
@@ -376,64 +380,67 @@ def conv2d(x, weight, bias=None, stride=1, dilation=1, groups=1, zero_padding=0)
                 f"bias length expects output channels {c_out}, got {bias.data.shape}"
             )
 
-    g = groups
-    cg = c_in // g
-    cog = c_out // g
-    p = zero_padding
+    g, cg, cog = groups, c_in // groups, c_out // groups
+    s, d, p = stride, dilation, zero_padding
+    if kh == kw == 1 and p == 0:  # a 1x1 conv reads only every s-th pixel
+        xd, h, w, s = xd[:, :, ::s, ::s], oh, ow, 1
 
-    if p > 0:
-        xp = np.pad(xd, ((0, 0), (0, 0), (p, p), (p, p)))
-    else:
-        xp = xd
-    hp, wp = xp.shape[2], xp.shape[3]
-    L = oh * ow
-    k = cg * kh * kw
+    # Stride phase (a, b) holds padded rows a, a+s, ... and columns b, b+s, ...;
+    # tap (i, j) reads phase ((i*d) % s, (j*d) % s) at stride 1 from flat
+    # offset (i*d // s) * wq + j*d // s, and a spare row takes wrapped reads.
+    hq, wq = -(-(h + 2 * p) // s), -(-(w + 2 * p) // s)
+    taps = [((i * d) % s * s + (j * d) % s, (i * d) // s * wq + (j * d) // s)
+            for i in range(kh) for j in range(kw)]
+    xp = xd
+    if s > 1 or p > 0 or kw > 1:  # else there is no padding and nothing wraps
+        xp = np.zeros((n, c_in, (hq + 1) * s, wq * s), dtype=xd.dtype)
+        xp[:, :, p:p + h, p:p + w] = xd
+    xf = xp.reshape(n, g, cg, -1, s, wq, s).transpose(0, 1, 2, 4, 6, 3, 5)
+    xf = xf.reshape(n, g, cg, s * s, -1)  # a view when s == 1
 
-    if _GRAD_ENABLED or (kh == 1 and kw == 1 and stride == 1 and p == 0):
-        # backward keeps the whole patch matrix; a 1x1 one is the input itself
-        rows = oh
-    else:
-        rows = max(1, _PATCH_BAND_BYTES // (g * k * ow * xp.itemsize))
-    wmat = wd.reshape(g, cog, k)
-    out = np.empty((n, g, cog, L), dtype=np.result_type(wd, xd))
-    sn, sc, sh, sw = xp.strides
-    for r0 in range(0, oh, rows):
-        r = min(rows, oh - r0)
-        view = np.lib.stride_tricks.as_strided(
-            xp[:, :, r0 * stride:],
-            shape=(n, g, cg, kh, kw, r, ow),
-            strides=(sn, cg * sc, sc, dilation * sh, dilation * sw, stride * sh, stride * sw),
-            writeable=False,
-        )
-        cols = view.reshape(n, g, k, r * ow)
-        np.matmul(wmat, cols, out=out[..., r0 * ow:(r0 + r) * ow])
-    out = out.reshape(n, c_out, oh, ow)
-    if bias is not None:
-        out = out + bias.data.reshape(1, c_out, 1, 1)
-
-    need_w = weight.requires_grad
-    need_x = x.requires_grad
-    saved_cols = cols if need_w else None
+    # A depthwise tap is a per-channel scale; matmul would call BLAS per channel.
+    product = np.multiply if cg == cog == 1 else np.matmul
+    wt = np.ascontiguousarray(wd.reshape(g, cog, cg, kh * kw).transpose(3, 0, 1, 2))
+    rows = max(1, _BAND_BYTES // ((c_in + c_out) * wq * xd.itemsize))
+    bands = [(r0 * wq, min(r0 + rows, oh) * wq) for r0 in range(0, oh, rows)]
+    wide = np.empty((n, g, cog, oh * wq), dtype=np.result_type(wd, xd))
+    part = np.empty_like(wide[..., :bands[0][1]])
+    for lo, hi in bands:
+        dst = wide[..., lo:hi]
+        for t, (ph, off) in enumerate(taps):
+            src = xf[:, :, :, ph, off + lo:off + hi]
+            if t == 0:
+                product(wt[0], src, out=dst)
+            else:
+                product(wt[t], src, out=part[..., :hi - lo])
+                dst += part[..., :hi - lo]
+    out = wide.reshape(n, c_out, oh, wq)[..., :ow]  # drop the wrap-around columns
+    out = np.ascontiguousarray(out) if bias is None else out + bias.data.reshape(1, c_out, 1, 1)
 
     def bw(grad):
         grads = []
-        go = grad.reshape(n, g, cog, L)
-        if need_w:
-            gw = np.matmul(go, saved_cols.transpose(0, 1, 3, 2)).sum(axis=0)
-            grads.append((weight, gw.reshape(wd.shape)))
-        if need_x:
-            gcols = np.matmul(wmat.transpose(0, 2, 1), go)
-            gxp = np.zeros((n, g, cg, hp, wp), dtype=grad.dtype)
-            gc = gcols.reshape(n, g, cg, kh, kw, oh, ow)
-            for ki in range(kh):
-                hs = ki * dilation
-                for kj in range(kw):
-                    ws = kj * dilation
-                    gxp[:, :, :, hs : hs + stride * oh : stride,
-                        ws : ws + stride * ow : stride] += gc[:, :, :, ki, kj]
-            gx = gxp.reshape(n, c_in, hp, wp)
-            if p > 0:
-                gx = gx[:, :, p : hp - p, p : wp - p]
+        go = np.zeros((n, c_out, oh, wq), dtype=grad.dtype)
+        go[..., :ow] = grad
+        go = go.reshape(n, g, cog, oh * wq)
+        gw, gxf = np.zeros(wt.shape, grad.dtype), np.zeros(xf.shape, grad.dtype)
+        gpart = np.empty((n, g, cg, bands[0][1]), dtype=grad.dtype)
+        for lo, hi in bands:
+            gob = go[..., lo:hi]
+            for t, (ph, off) in enumerate(taps):
+                if weight.requires_grad:
+                    src = xf[:, :, :, ph, off + lo:off + hi]
+                    gw[t] += np.matmul(gob, src.transpose(0, 1, 3, 2)).sum(axis=0)
+                if x.requires_grad:
+                    product(wt[t].transpose(0, 2, 1), gob, out=gpart[..., :hi - lo])
+                    gxf[:, :, :, ph, off + lo:off + hi] += gpart[..., :hi - lo]
+        if weight.requires_grad:
+            grads.append((weight, gw.transpose(1, 2, 3, 0).reshape(wd.shape)))
+        if x.requires_grad:
+            gx = gxf.reshape(n, c_in, s, s, -1, wq).transpose(0, 1, 4, 2, 5, 3)
+            gx = gx.reshape(n, c_in, -1, wq * s)[:, :, p:p + h, p:p + w]
+            if s < stride:  # back onto the pixels the 1x1 conv read
+                gx, sub = np.zeros(x.data.shape, dtype=grad.dtype), gx
+                gx[:, :, ::stride, ::stride] = sub
             grads.append((x, gx))
         if bias is not None and bias.requires_grad:
             grads.append((bias, grad.sum(axis=(0, 2, 3))))
@@ -445,51 +452,46 @@ def conv2d(x, weight, bias=None, stride=1, dilation=1, groups=1, zero_padding=0)
 
 # -- resampling & pooling -------------------------------------------------------
 
-_INTERP_CACHE = {}
-
-
+@functools.lru_cache(maxsize=64)
 def _interp_matrix(n_in, n_out, dtype):
     """Row matrix mapping ``n_in`` samples to ``n_out`` half-pixel-center taps."""
-    key = (n_in, n_out, np.dtype(dtype).str)
-    m = _INTERP_CACHE.get(key)
-    if m is None:
-        d = np.arange(n_out)
-        s = np.clip((d + 0.5) * (n_in / n_out) - 0.5, 0.0, n_in - 1.0)
-        i0 = np.floor(s).astype(np.intp)
-        i1 = np.minimum(i0 + 1, n_in - 1)
-        f = (s - i0).astype(dtype)
-        m = np.zeros((n_out, n_in), dtype=dtype)
-        np.add.at(m, (d, i0), 1.0 - f)
-        np.add.at(m, (d, i1), f)
-        _INTERP_CACHE[key] = m
+    d = np.arange(n_out)
+    s = np.clip((d + 0.5) * (n_in / n_out) - 0.5, 0.0, n_in - 1.0)
+    i0 = np.floor(s).astype(np.intp)
+    i1 = np.minimum(i0 + 1, n_in - 1)
+    f = (s - i0).astype(dtype)
+    m = np.zeros((n_out, n_in), dtype=dtype)
+    np.add.at(m, (d, i0), 1.0 - f)
+    np.add.at(m, (d, i1), f)
     return m
 
 
-def bilinear_upsample(x, out_h, out_w):
-    """Bilinear resize to ``(out_h, out_w)`` with half-pixel centers.
+def separable(x, ry, rx):
+    """``ry · X · rxᵀ`` for every ``(h, w)`` map ``X`` of ``x``, with constant
+    ``ry`` ``(out_h, h)`` and ``rx`` ``(out_w, w)``: a linear map that factors
+    over rows and columns, such as a resize or a separable window. The
+    backward pass is ``ryᵀ · G · rx``."""
+    x = _as_tensor(x)
+    out = np.matmul(np.matmul(ry, x.data), rx.T)
 
-    Separable, so it is applied as two interpolation matrices; the
-    backward pass is the transposed pair.
-    """
+    def bw(grad):
+        return [(x, np.matmul(np.matmul(ry.T, grad), rx))]
+
+    return _make(out, (x,), bw)
+
+
+def bilinear_upsample(x, out_h, out_w):
+    """Bilinear resize to ``(out_h, out_w)`` with half-pixel centers,
+    applied as one interpolation matrix per axis."""
     x = _as_tensor(x)
     xd = x.data
     if xd.ndim != 4:
         raise ValueError(f"bilinear_upsample input must be 4-D, got {xd.ndim}-D")
     n, c, h, w = xd.shape
     if out_h < h or out_w < w:
-        raise ValueError(
-            f"output size ({out_h},{out_w}) must not shrink input ({h},{w})"
-        )
-
-    ry = _interp_matrix(h, out_h, xd.dtype)
-    rx = _interp_matrix(w, out_w, xd.dtype)
-    out = np.matmul(np.matmul(ry, xd), rx.T)
-
-    def bw(grad):
-        gx = np.matmul(np.matmul(ry.T, grad), rx)
-        return [(x, gx)]
-
-    return _make(out, (x,), bw)
+        raise ValueError(f"output size ({out_h},{out_w}) must not shrink input ({h},{w})")
+    return separable(x, _interp_matrix(h, out_h, xd.dtype),
+                     _interp_matrix(w, out_w, xd.dtype))
 
 
 def global_avg_pool(x):

@@ -387,6 +387,12 @@ class TestSyntheticSpec:
             SyntheticSpec(n_slices=2)
         with pytest.raises(ValueError):
             SyntheticSpec(low_i0=0.0)
+        for bad in (dict(size=31), dict(n_views=0), dict(n_detectors=0),
+                    dict(n_ellipses_range=(5, 2)), dict(n_ellipses_range=(0, 3)),
+                    dict(n_ellipses_range=(4,))):
+            with pytest.raises(ValueError):
+                SyntheticSpec(**bad)
+        assert SyntheticSpec(size=32, n_ellipses_range=(3, 3)).n_ellipses_range == (3, 3)
 
     def test_dict_round_trip(self):
         spec = SyntheticSpec(n_train=2, size=32)

@@ -123,11 +123,15 @@ class TestIdentities:
 
 class TestOracleEquivalence:
     def test_gaussian_window_matches_naive(self):
-        from hqinet.losses import _window
-        win = _window(1, 11, 1.5, np.float64).data[0, 0]
-        want = gaussian_window_naive(11, 1.5)
-        assert np.abs(win - want).max() < 1e-12
-        assert win.sum() == pytest.approx(1.0, abs=1e-12)
+        from hqinet.losses import _window_rows
+        rows = _window_rows(16, 11, 1.5, np.float64)
+        row = rows[0, :11]
+        assert np.abs(np.outer(row, row) - gaussian_window_naive(11, 1.5)).max() < 1e-12
+        assert row.sum() == pytest.approx(1.0, abs=1e-12)
+        # every row is the same window, shifted by one column
+        for r in range(rows.shape[0]):
+            assert np.array_equal(rows[r, r:r + 11], row)
+            assert not rows[r, :r].any() and not rows[r, r + 11:].any()
 
     @pytest.mark.parametrize("sigma", [1.5, 0.0])
     def test_ssim_matches_windowed_naive(self, sigma):
@@ -140,6 +144,20 @@ class TestOracleEquivalence:
             win = np.full((5, 5), 1.0 / 25.0)
         want = ssim_windowed_naive(x, y, win, p.c1, p.c2)
         assert abs(got - want) / abs(want) < 1e-10
+
+    @pytest.mark.parametrize("sigma", [1.5, 0.0])
+    @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-6), (np.float64, 1e-10)])
+    def test_non_square_matches_windowed_naive(self, sigma, dtype, tol):
+        x, y = img((9, 14), 30), img((9, 14), 31)
+        p = SsimParams(window_size=5, window_sigma=sigma)
+        got = ssim(x.astype(dtype), y.astype(dtype), p).data
+        if sigma > 0:
+            win = gaussian_window_naive(5, sigma)
+        else:
+            win = np.full((5, 5), 1.0 / 25.0)
+        want = ssim_windowed_naive(x, y, win, p.c1, p.c2)
+        assert got.dtype == dtype
+        assert abs(float(got) - want) / abs(want) < tol
 
     def test_uniform_full_window_equals_global_statistics(self):
         # one uniform window covering the image reduces the local form to

@@ -424,6 +424,31 @@ class TestCLI:
             assert main(["train", "--config", str(path)]) == 2
             assert f"RunConfig.{where} must be int" in capsys.readouterr().err
 
+    def test_invalid_synthetic_spec_is_config_error(self, tmp_path, capsys):
+        good = make_config(str(tmp_path / "data"), tmp_path / "run").to_dict()
+        path = tmp_path / "config.json"
+        for key, value in (("size", 0), ("n_views", 0), ("n_detectors", 0),
+                           ("n_ellipses_range", [5, 2])):
+            synthetic = dict(good["data"]["synthetic"], **{key: value})
+            path.write_text(json.dumps(dict(good, data=dict(good["data"],
+                                                            synthetic=synthetic))))
+            assert main(["generate", "--config", str(path)]) == 2
+            assert "invalid RunConfig.data.synthetic" in capsys.readouterr().err
+        assert not (tmp_path / "data").exists()
+
+    def test_negative_seed_is_config_error(self, data_dir, tmp_path, capsys):
+        good = make_config(data_dir, tmp_path / "run").to_dict()
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(good, seed=-1)))
+        assert main(["train", "--config", str(path)]) == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        path.write_text(json.dumps(good))
+        for verb in ("generate", "train"):
+            assert main([verb, "--config", str(path), "--seed", "-3",
+                         "--out", str(tmp_path / verb)]) == 2
+            assert "seed must be >= 0, got -3" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_resume_past_configured_epochs_is_config_error(self, data_dir, tmp_path, capsys):
         run_dir = tmp_path / "run"
         train(make_config(data_dir, run_dir, epochs=2))

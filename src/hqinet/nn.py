@@ -168,25 +168,12 @@ class BatchNorm2d(Module):
         c = self.channels
         if x.data.shape[1] != c:
             raise ValueError(f"expected {c} channels, got {x.data.shape[1]}")
+        buf, m = self._buffers, self.momentum
+        stats = None if self.training else (buf["running_mean"], buf["running_var"])
+        out, mean, var = T.batch_norm(x, self.gamma, self.beta, self.epsilon, stats)
         if self.training:
-            mu = T.tmean(x, axis=(0, 2, 3), keepdims=True)
-            xc = T.sub(x, mu)
-            var = T.tmean(T.mul(xc, xc), axis=(0, 2, 3), keepdims=True)
-            m = self.momentum
-            self._buffers["running_mean"] = (
-                (1.0 - m) * self._buffers["running_mean"] + m * mu.data.reshape(c)
-            )
-            self._buffers["running_var"] = (
-                (1.0 - m) * self._buffers["running_var"] + m * var.data.reshape(c)
-            )
-            xhat = T.div(xc, T.sqrt(T.add(var, self.epsilon)))
-        else:
-            rm = self._buffers["running_mean"].reshape(1, c, 1, 1)
-            rv = self._buffers["running_var"].reshape(1, c, 1, 1)
-            scale = 1.0 / np.sqrt(rv + self.epsilon)
-            xhat = T.mul(T.sub(x, Tensor(rm)), Tensor(scale))
-        out = T.add(T.mul(xhat, T.reshape(self.gamma, (1, c, 1, 1))),
-                    T.reshape(self.beta, (1, c, 1, 1)))
+            buf["running_mean"] = (1.0 - m) * buf["running_mean"] + m * mean
+            buf["running_var"] = (1.0 - m) * buf["running_var"] + m * var
         return out
 
 

@@ -4,7 +4,6 @@ a training, evaluation, or generation run depends on."""
 from __future__ import annotations
 
 import json
-import os
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass
 
@@ -138,11 +137,11 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, path):
-        if not os.path.exists(path):
-            raise ConfigError(f"config file {path} does not exist")
         try:
-            with open(path) as f:
+            with open(path, encoding="utf-8") as f:
                 raw = json.load(f)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"config file {path} cannot be read: {exc}") from exc
         return cls.from_dict(raw)

@@ -4,7 +4,7 @@ The engine records a computation graph as ops execute and replays it in
 reverse topological order when ``backward`` is called on a scalar. It
 supplies exactly the operations the reconstruction network and its
 training objective need: elementwise arithmetic, reductions, 2-D
-convolution (stride / dilation / groups), batch-stat building blocks,
+convolution (stride / dilation / groups), batch normalization,
 bilinear upsampling, channel concatenation and the gating primitives.
 
 Conventions:
@@ -41,6 +41,7 @@ __all__ = [
     "conv2d",
     "conv_output_size",
     "separable",
+    "batch_norm",
     "bilinear_upsample",
     "global_avg_pool",
     "concat_channels",
@@ -419,8 +420,10 @@ def conv2d(x, weight, bias=None, stride=1, dilation=1, groups=1, zero_padding=0)
 
     def bw(grad):
         grads = []
-        go = np.zeros((n, c_out, oh, wq), dtype=grad.dtype)
-        go[..., :ow] = grad
+        go = grad
+        if wq != ow:  # zeros in the wrap-around columns; a 1x1 conv has none
+            go = np.zeros((n, c_out, oh, wq), dtype=grad.dtype)
+            go[..., :ow] = grad
         go = go.reshape(n, g, cog, oh * wq)
         gw, gxf = np.zeros(wt.shape, grad.dtype), np.zeros(xf.shape, grad.dtype)
         gpart = np.empty((n, g, cg, bands[0][1]), dtype=grad.dtype)
@@ -448,6 +451,31 @@ def conv2d(x, weight, bias=None, stride=1, dilation=1, groups=1, zero_padding=0)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return _make(out, parents, bw)
+
+
+def batch_norm(x, gamma, beta, epsilon, stats=None):
+    """Per-channel ``gamma * (x - mean) / sqrt(var + epsilon) + beta`` over
+    ``(n, c, h, w)`` input as one scale and shift, with the batch's mean and
+    biased variance over ``(n, h, w)`` or with constant ``stats = (mean, var)``.
+    Returns ``(out, mean, var)``. The backward pass is closed form (Ioffe &
+    Szegedy 2015) and recomputes ``xhat`` from ``x``."""
+    x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
+    xd, axes, col = x.data, (0, 2, 3), (1, -1, 1, 1)
+    mean, var = (xd.mean(axis=axes), xd.var(axis=axes)) if stats is None else stats
+    inv = 1.0 / np.sqrt(var + epsilon)
+    scale = gamma.data * inv
+    out = xd * scale.reshape(col) + (beta.data - mean * scale).reshape(col)
+
+    def bw(grad):
+        xhat = (xd - mean.reshape(col)) * inv.reshape(col)
+        gx = grad * scale.reshape(col)
+        if stats is None:
+            gx = (gx - gx.mean(axis=axes, keepdims=True)
+                  - xhat * (gx * xhat).mean(axis=axes, keepdims=True))
+        grads = ((x, gx), (gamma, (grad * xhat).sum(axis=axes)), (beta, grad.sum(axis=axes)))
+        return [(t, g) for t, g in grads if t.requires_grad]
+
+    return _make(out, (x, gamma, beta), bw), mean, var
 
 
 # -- resampling & pooling -------------------------------------------------------

@@ -72,17 +72,28 @@ def _validation_loss(model, triplets, config: RunConfig):
     return total / count
 
 
-def _open_log(path, header, keep_below=None):
-    """Start a CSV log with its header. With ``keep_below``, first keep the
-    complete rows already there whose leading step or epoch is below it."""
-    rows = []
-    if keep_below is not None and os.path.exists(path):
+def _kept_rows(path, keep_below):
+    """The complete rows of an existing CSV log whose leading step or epoch
+    is below ``keep_below``, as one string; "" when there is no log."""
+    if not os.path.exists(path):
+        return ""
+    try:
         with open(path) as f:
-            rows = [r + "\n" for r in f.read().split("\n")[1:-1]
-                    if int(r.split(",", 1)[0]) < keep_below]
+            rows = f.read().split("\n")[1:-1]
+        return "".join(r + "\n" for r in rows if int(r.split(",", 1)[0]) < keep_below)
+    except ValueError as exc:
+        raise DataError(f"cannot resume from log {path}: {exc}") from exc
+
+
+def _open_log(path, header, rows):
     f = open(path, "w")
-    f.write(header + "\n" + "".join(rows))
+    f.write(header + "\n" + rows)
     return f
+
+
+def _check_slice_size(h, w):
+    if h % 16 or w % 16:
+        raise DataError(f"slices are {h}x{w}; the model needs sizes divisible by 16")
 
 
 def train(config: RunConfig, resume=None, triplets=None, val_triplets=None) -> TrainResult:
@@ -105,6 +116,9 @@ def train(config: RunConfig, resume=None, triplets=None, val_triplets=None) -> T
         w = min(t.input.shape[2] for t in triplets)
         if crop > h or crop > w:
             raise ConfigError(f"crop {crop} exceeds slice size {h}x{w}")
+    uncropped = list(val_triplets) + ([] if crop else list(triplets))
+    for h, w in {t.input.shape[1:] for t in uncropped}:
+        _check_slice_size(h, w)
 
     model = build_model(config.model, seed=config.seed)
     optimizer = Adam(list(model.named_parameters()), lr=config.optimizer.lr,
@@ -117,6 +131,7 @@ def train(config: RunConfig, resume=None, triplets=None, val_triplets=None) -> T
 
     log_path = os.path.join(out_dir, "loss_log.csv")
     val_log_path = os.path.join(out_dir, "val_log.csv")
+    loss_rows = val_rows = ""
     if resume is not None:
         state = load_checkpoint(resume)
         check_model_config(config.to_dict(), state)
@@ -132,12 +147,11 @@ def train(config: RunConfig, resume=None, triplets=None, val_triplets=None) -> T
         if state.best_val is not None:
             best_val = state.best_val
         # Drop the rows written after the checkpoint, so the logs end as an
-        # uninterrupted run's would.
-        log_file = _open_log(log_path, LOG_HEADER, keep_below=step + 1)
-        val_log = _open_log(val_log_path, VAL_LOG_HEADER, keep_below=start_epoch)
-    else:
-        log_file = _open_log(log_path, LOG_HEADER)
-        val_log = _open_log(val_log_path, VAL_LOG_HEADER)
+        # uninterrupted run's would. Both are read before either is rewritten.
+        loss_rows = _kept_rows(log_path, step + 1)
+        val_rows = _kept_rows(val_log_path, start_epoch)
+    log_file = _open_log(log_path, LOG_HEADER, loss_rows)
+    val_log = _open_log(val_log_path, VAL_LOG_HEADER, val_rows)
 
     best_path = os.path.join(out_dir, "best.hqic")
     last_path = os.path.join(out_dir, "last.hqic")
@@ -207,9 +221,7 @@ def _load_model_from_checkpoint(ckpt_path):
 def _predict_volume(model, low_volume, batch_size):
     """Model outputs for every interior slice of a low-dose volume."""
     n, h, w = low_volume.shape
-    if h % 16 or w % 16:
-        raise DataError(
-            f"volume slices are {h}x{w}; the model needs sizes divisible by 16")
+    _check_slice_size(h, w)
     inputs = [low_volume[i - 1:i + 2] for i in range(1, n - 1)]
     preds = []
     with T.no_grad():

@@ -3,14 +3,19 @@
 Everything here is written the slow, obvious way (explicit loops,
 direct summation) on purpose: these are the oracles the fast
 implementations are compared against, so they must not share any code
-or algebraic shortcuts with them.
+or algebraic shortcuts with them. ``batch_norm_naive`` differs in form:
+it is the composition of elementwise tensor ops that ``tensor.batch_norm``
+replaced, so its gradients come from the chain rule through every
+intermediate rather than from the closed form.
 """
 
 import math
 
 import numpy as np
 
+from hqinet import tensor as T
 from hqinet.ctsim import Sinogram
+from hqinet.tensor import Tensor
 
 
 def conv2d_naive(x, w, b=None, stride=1, dilation=1, groups=1, padding=0):
@@ -44,6 +49,27 @@ def conv2d_naive(x, w, b=None, stride=1, dilation=1, groups=1, padding=0):
             if b is not None:
                 out[ni, co] += b[co]
     return out
+
+
+def batch_norm_naive(x, gamma, beta, epsilon, stats=None):
+    """Batch normalization composed of elementwise tensor ops: 11 graph nodes
+    with the batch's statistics, 6 with ``stats = (running_mean,
+    running_var)``. Returns ``(out, mean, var)`` like ``tensor.batch_norm``."""
+    c = x.data.shape[1]
+    if stats is None:
+        mu = T.tmean(x, axis=(0, 2, 3), keepdims=True)
+        xc = T.sub(x, mu)
+        var = T.tmean(T.mul(xc, xc), axis=(0, 2, 3), keepdims=True)
+        xhat = T.div(xc, T.sqrt(T.add(var, epsilon)))
+        stats = (mu.data.reshape(c), var.data.reshape(c))
+    else:
+        rm = stats[0].reshape(1, c, 1, 1)
+        rv = stats[1].reshape(1, c, 1, 1)
+        scale = 1.0 / np.sqrt(rv + epsilon)
+        xhat = T.mul(T.sub(x, Tensor(rm)), Tensor(scale))
+    out = T.add(T.mul(xhat, T.reshape(gamma, (1, c, 1, 1))),
+                T.reshape(beta, (1, c, 1, 1)))
+    return (out,) + stats
 
 
 def l1_naive(pred, ref):

@@ -6,6 +6,7 @@ import pytest
 
 from hqinet import tensor as T
 from hqinet.errors import ConfigError
+from hqinet.losses import loss_terms
 from hqinet.runconfig import RunConfig
 from hqinet.tensor import Tensor
 from hqinet.network import (ASPP, Bottleneck, ChannelSE, DecoderBlock,
@@ -313,6 +314,22 @@ class TestHQINet:
         x = Tensor(rng.normal(size=(2, 3, 16, 16)), requires_grad=True)
         check(lambda: T.tmean(T.mul(m(x), m(x))), probes + [x],
               max_entries=4, eps=1e-5, tol=1e-4)
+
+    def test_desk_training_step_graph_nodes(self):
+        # One node per recorded op: 31 BatchNorm layers at one node each, the
+        # convs, gates, upsamplings and the loss.
+        cfg = RunConfig.desk()
+        m = build_model(cfg.model, seed=7)
+        x, y = Tensor(rand((4, 3, 64, 64), 27)), Tensor(rand((4, 1, 64, 64), 28))
+        loss = loss_terms(m(x), y, cfg.loss_weights, cfg.ssim)[0]
+        seen, stack, nodes = set(), [loss], 0
+        while stack:
+            t = stack.pop()
+            if id(t) not in seen:
+                seen.add(id(t))
+                nodes += t._backward is not None
+                stack.extend(t._parents)
+        assert nodes == 195
 
 
 class TestParameterCensus:

@@ -10,7 +10,7 @@ from hqinet import tensor as T
 from hqinet.tensor import Tensor
 
 from _gradcheck import check
-from _oracles import conv2d_naive
+from _oracles import batch_norm_naive, conv2d_naive
 
 
 def rand(shape, seed, scale=1.0, shift=0.0):
@@ -277,6 +277,55 @@ class TestConv2dRowBands:
         with T.no_grad():
             assert peak() < 16 * 2**20
         assert peak() < 16 * 2**20
+
+
+class TestBatchNorm:
+    """``batch_norm`` against the elementwise composition it replaced."""
+
+    @staticmethod
+    def _inputs(dtype, mode):
+        """x, gamma, beta, the running statistics (None in train mode) and the
+        weights of a loss that the normalization does not cancel."""
+        rng = np.random.default_rng(47)
+        x = rng.normal(2.0, 3.0, size=(4, 5, 7, 6))
+        arrays = [x, rng.normal(1.0, 0.5, 5), rng.normal(size=5), rng.normal(size=5),
+                  rng.uniform(0.5, 3.0, 5), rng.normal(size=x.shape)]
+        x, gamma, beta, mean, var, weights = [a.astype(dtype) for a in arrays]
+        return x, gamma, beta, None if mode == "train" else (mean, var), weights
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+    def test_matches_composition(self, mode, dtype, tol):
+        x, gamma, beta, stats, weights = self._inputs(dtype, mode)
+        results = []
+        for fn in (T.batch_norm, batch_norm_naive):
+            leaves = [Tensor(a.copy(), requires_grad=True) for a in (x, gamma, beta)]
+            out, mean, var = fn(*leaves, 1e-5, stats)
+            T.tsum(T.mul(out, Tensor(weights))).backward()
+            results.append([out.data] + [t.grad for t in leaves] + [mean, var])
+        for got, want in zip(*results):
+            assert got.dtype == dtype and got.shape == want.shape
+            assert np.abs(got - want).max() <= tol * np.abs(want).max()
+        if stats is not None:
+            assert results[0][4] is stats[0] and results[0][5] is stats[1]
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_gradcheck(self, mode):
+        x, gamma, beta, stats, weights = self._inputs(np.float64, mode)
+        leaves = [Tensor(a, requires_grad=True) for a in (x, gamma, beta)]
+
+        def fn():
+            out = T.batch_norm(*leaves, 1e-5, stats)[0]
+            return T.tsum(T.mul(T.mul(out, out), Tensor(weights)))
+
+        check(fn, leaves)
+
+    def test_one_graph_node(self):
+        leaves = [Tensor(a, requires_grad=True) for a in self._inputs(np.float64, "train")[:3]]
+        out = T.batch_norm(*leaves, 1e-5)[0]
+        assert out._parents == tuple(leaves)
+        with T.no_grad():
+            assert T.batch_norm(*leaves, 1e-5)[0]._backward is None
 
 
 class TestStructuralOps:

@@ -415,6 +415,13 @@ class TestCLI:
         assert main(["train", "--config", str(bad)]) == 2
         capsys.readouterr()
 
+    def test_unreadable_config_is_config_error(self, tmp_path, capsys):
+        latin1 = tmp_path / "latin1.json"
+        latin1.write_bytes('{"output_dir": "caf\u00e9"}'.encode("latin-1"))
+        for path in (latin1, tmp_path):
+            assert main(["train", "--config", str(path)]) == 2
+            assert f"config file {path} cannot be read" in capsys.readouterr().err
+
     def test_wrong_json_type_is_config_error(self, data_dir, tmp_path, capsys):
         good = make_config(data_dir, tmp_path / "run").to_dict()
         path = tmp_path / "config.json"
@@ -485,6 +492,38 @@ class TestCLI:
         cfg.to_json(cfg_path)
         assert main(["train", "--config", cfg_path]) == 2
         assert "crop 64 exceeds slice size 32x32" in capsys.readouterr().err
+
+    def test_slices_not_divisible_by_16_are_data_error(self, tmp_path, capsys):
+        data_root = str(tmp_path / "data")
+        generate_dataset(data_root, SyntheticSpec(n_train=1, n_test=1, n_slices=3, size=40,
+                                                  n_views=24, n_detectors=59), seed=0)
+        run_dir = tmp_path / "run"
+        # Uncropped training slices, then uncropped validation slices.
+        for crop in (0, 16):
+            cfg = make_config(data_root, run_dir)
+            cfg.data.crop = crop
+            cfg.to_json(str(tmp_path / "config.json"))
+            assert main(["train", "--config", str(tmp_path / "config.json")]) == 3
+            assert "slices are 40x40; the model needs sizes divisible by 16" in (
+                capsys.readouterr().err)
+            assert not run_dir.exists() or not any(run_dir.iterdir())
+
+    def test_resume_over_malformed_log_is_data_error(self, run, data_dir, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        shutil.copytree(os.path.dirname(run.last_path), run_dir)
+        cfg_path = self._write_config(tmp_path, data_dir, str(run_dir), epochs=1)
+        resume = str(run_dir / "epoch_001.hqic")
+        with open(run_dir / "loss_log.csv", "a") as f:  # a row a resume would drop
+            f.write("99,1,0.5,0.1,0.4,0.000\n")
+        for name, row in (("loss_log.csv", "one,0,0.5,0.1,0.4,0.000\n"),
+                          ("val_log.csv", "epoch0,0.5\n")):
+            with open(run_dir / name, "a") as f:
+                f.write(row)
+            logs = {n: (run_dir / n).read_bytes() for n in ("loss_log.csv", "val_log.csv")}
+            assert main(["train", "--config", cfg_path, "--resume", resume]) == 3
+            assert f"cannot resume from log {run_dir / name}" in capsys.readouterr().err
+            assert {n: (run_dir / n).read_bytes() for n in logs} == logs
+            (run_dir / name).write_bytes(logs[name].replace(row.encode(), b""))
 
     def test_data_error_exit_code(self, tmp_path, capsys):
         cfg_path = self._write_config(tmp_path, str(tmp_path / "nodata"),

@@ -105,7 +105,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, VolumeFormatError, CheckpointError, FileNotFoundError) as exc:
+    except (DataError, VolumeFormatError, CheckpointError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericError as exc:

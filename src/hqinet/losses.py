@@ -1,11 +1,12 @@
 """Training objective: weighted sum of L1 and structural-similarity losses.
 
-All functions here build on the differentiable tensor ops, so gradients
-flow to the prediction. The similarity index uses local Gaussian-window
-statistics by default; a non-positive ``window_sigma`` selects a uniform
-window, and a uniform window spanning the whole image reduces exactly to
-the single-global-statistics form. Both windows are separable (Wang et al.
-2004), so they are applied along each axis in turn.
+Gradients flow to the prediction: L1 is composed of tensor ops, and the
+similarity index is one graph node with a closed-form backward. It uses
+local Gaussian-window statistics by default; a non-positive
+``window_sigma`` selects a uniform window, and a uniform window spanning
+the whole image reduces exactly to the single-global-statistics form. Both
+windows are separable (Wang et al. 2004), so they are applied along each
+axis in turn.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .tensor import Tensor
 
 __all__ = [
     "LossWeights",
@@ -65,21 +65,9 @@ class SsimParams:
             raise ValueError(f"c1, c2 must be > 0, got {self.c1}, {self.c2}")
 
 
-def _as4d(x):
-    if not isinstance(x, Tensor):
-        x = Tensor(np.asarray(x))
-    if x.data.ndim == 2:
-        h, w = x.data.shape
-        return T.reshape(x, (1, 1, h, w))
-    if x.data.ndim == 4:
-        return x
-    raise ValueError(f"expected a 2-d image or (n,c,h,w) batch, got shape {x.data.shape}")
-
-
 def l1_loss(pred, ref):
     """Mean absolute difference over all elements."""
-    p = pred if isinstance(pred, Tensor) else Tensor(np.asarray(pred))
-    r = ref if isinstance(ref, Tensor) else Tensor(np.asarray(ref))
+    p, r = T._as_tensor(pred), T._as_tensor(ref)
     if p.data.shape != r.data.shape:
         raise ValueError(f"shape mismatch: {p.data.shape} vs {r.data.shape}")
     return T.tmean(T.absolute(T.sub(p, r)))
@@ -98,37 +86,47 @@ def _window_rows(n, size, sigma, dtype):
 
 
 def ssim(pred, ref, params: SsimParams = None):
-    """Mean local structural similarity, differentiable, in [-1, 1].
-
-    Per-window means, variances and covariance come from the (normalized)
-    window applied as one band matrix per axis; the variance uses the
-    biased form E[x^2] - E[x]^2 over the window weights.
-    """
+    """Mean local structural similarity of a 2-d image or an ``(n, c, h, w)``
+    batch, in [-1, 1], as one graph node with a closed-form backward. Window
+    means, variances and covariance come from the normalized window applied
+    as one band matrix per axis; variances take the biased form
+    E[x^2] - E[x]^2 over the window weights."""
     if params is None:
         params = SsimParams()
-    x = _as4d(pred)
-    y = _as4d(ref)
-    if x.data.shape != y.data.shape:
-        raise ValueError(f"shape mismatch: {x.data.shape} vs {y.data.shape}")
-    h, w = x.data.shape[2:]
+    x, y = T._as_tensor(pred), T._as_tensor(ref)
+    xd, yd = x.data, y.data
+    if xd.ndim not in (2, 4):
+        raise ValueError(f"expected a 2-d image or (n,c,h,w) batch, got shape {xd.shape}")
+    if xd.shape != yd.shape:
+        raise ValueError(f"shape mismatch: {xd.shape} vs {yd.shape}")
+    h, w = xd.shape[-2:]
     k = params.window_size
     if k > min(h, w):
         raise ValueError(f"window {k} larger than image {h}x{w}")
-    ah = _window_rows(h, k, params.window_sigma, x.data.dtype)
-    aw = _window_rows(w, k, params.window_sigma, x.data.dtype)
-    mu_x, mu_y, e_xx, e_yy, e_xy = [T.separable(t, ah, aw) for t in (
-        x, y, T.mul(x, x), T.mul(y, y), T.mul(x, y))]
-    mu_xx = T.mul(mu_x, mu_x)
-    mu_yy = T.mul(mu_y, mu_y)
-    mu_xy = T.mul(mu_x, mu_y)
-    var_x = T.sub(e_xx, mu_xx)
-    var_y = T.sub(e_yy, mu_yy)
-    cov = T.sub(e_xy, mu_xy)
-    c1 = float(params.c1)
-    c2 = float(params.c2)
-    num = T.mul(T.add(T.mul(mu_xy, 2.0), c1), T.add(T.mul(cov, 2.0), c2))
-    den = T.mul(T.add(T.add(mu_xx, mu_yy), c1), T.add(T.add(var_x, var_y), c2))
-    return T.tmean(T.div(num, den))
+    ah, aw = [_window_rows(n, k, params.window_sigma, xd.dtype) for n in (h, w)]
+    mu_x, mu_y, e_xx, e_yy, e_xy = [np.matmul(np.matmul(ah, t), aw.T) for t in (
+        xd, yd, xd * xd, yd * yd, xd * yd)]
+    mu_xx, mu_yy, mu_xy = mu_x * mu_x, mu_y * mu_y, mu_x * mu_y
+    c1, c2 = float(params.c1), float(params.c2)
+    a1, a2 = mu_xy * 2.0 + c1, (e_xy - mu_xy) * 2.0 + c2
+    b1, b2 = (mu_xx + mu_yy) + c1, ((e_xx - mu_xx) + (e_yy - mu_yy)) + c2
+    smap = (a1 * a2) / (b1 * b2)
+
+    def back(m):  # the window's adjoint, A_hᵀ · M · A_w
+        return np.matmul(np.matmul(ah.T, m), aw)
+
+    def bw(grad):
+        g = grad / smap.size
+        gd, gs = g / (b1 * b2), g * smap
+        d_xy = back(2.0 * a1 * gd)  # through E[xy]
+        d_sq = back(-gs / b2)  # through E[x^2], and E[y^2] alike
+        rec = 1.0 / b1 - 1.0 / b2
+        return [(t, back(2.0 * (mu_o * (a2 - a1) * gd - mu * gs * rec))  # through E[x]
+                 + 2.0 * td * d_sq + od * d_xy)
+                for t, td, od, mu, mu_o in ((x, xd, yd, mu_x, mu_y), (y, yd, xd, mu_y, mu_x))
+                if t.requires_grad]
+
+    return T._make(smap.mean(), (x, y), bw)
 
 
 def ssim_loss(pred, ref, params: SsimParams = None):

@@ -40,6 +40,7 @@ __all__ = [
 EXPANSION = 4
 
 IN_SLICES = 3
+OUTPUT_STRIDE = 16  # the encoder halves the input four times
 
 
 def _scale(c, width_multiplier):
@@ -316,15 +317,12 @@ class HQINet(Module):
         self.decoder4 = DecoderBlock(dc[2], w["stem"], sp, dc[3], dtype=dtype)
         self.head = ReconstructionHead(dc, dc[3], dtype=dtype)
 
-    def _check_spatial(self, h, w):
-        if h % 16 or w % 16:
-            raise ValueError(f"input spatial size {h}x{w} must be divisible by 16")
-
     def encode(self, x) -> EncoderOutputs:
         n, c, h, w = x.data.shape
         if c != IN_SLICES:
             raise ValueError(f"expected {IN_SLICES} input slices as channels, got {c}")
-        self._check_spatial(h, w)
+        if h % OUTPUT_STRIDE or w % OUTPUT_STRIDE:
+            raise ValueError(f"input spatial size {h}x{w} must be divisible by {OUTPUT_STRIDE}")
         s0 = self.stem(x)
         t = s0
         for blk in self.stage1:

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from .dataset import SyntheticSpec
 from .errors import ConfigError
 from .losses import LossWeights, SsimParams
-from .network import ModelConfig
+from .network import OUTPUT_STRIDE, ModelConfig
 
 __all__ = ["OptimizerConfig", "DataConfig", "RunConfig"]
 
@@ -85,8 +85,8 @@ class DataConfig:
     def __post_init__(self):
         if self.crop < 0:
             raise ValueError(f"crop must be >= 0, got {self.crop}")
-        if self.crop and self.crop % 16:
-            raise ValueError(f"crop must be divisible by 16, got {self.crop}")
+        if self.crop and self.crop % OUTPUT_STRIDE:
+            raise ValueError(f"crop must be divisible by {OUTPUT_STRIDE}, got {self.crop}")
 
 
 @dataclass

@@ -25,7 +25,7 @@ from .dataset import build_triplets, load_triplets, load_volume_pairs, random_cr
 from .errors import ConfigError, DataError, NumericError
 from .losses import loss_terms
 from .metrics import format_table, metrics_report
-from .network import build_model
+from .network import OUTPUT_STRIDE, build_model
 from .optim import Adam
 from .runconfig import RunConfig
 from .tensor import Tensor
@@ -92,8 +92,8 @@ def _open_log(path, header, rows):
 
 
 def _check_slice_size(h, w):
-    if h % 16 or w % 16:
-        raise DataError(f"slices are {h}x{w}; the model needs sizes divisible by 16")
+    if h % OUTPUT_STRIDE or w % OUTPUT_STRIDE:
+        raise DataError(f"slices are {h}x{w}; the model needs sizes divisible by {OUTPUT_STRIDE}")
 
 
 def train(config: RunConfig, resume=None, triplets=None, val_triplets=None) -> TrainResult:
@@ -116,9 +116,12 @@ def train(config: RunConfig, resume=None, triplets=None, val_triplets=None) -> T
         w = min(t.input.shape[2] for t in triplets)
         if crop > h or crop > w:
             raise ConfigError(f"crop {crop} exceeds slice size {h}x{w}")
-    uncropped = list(val_triplets) + ([] if crop else list(triplets))
-    for h, w in {t.input.shape[1:] for t in uncropped}:
+    uncropped = {t.input.shape[1:] for t in list(val_triplets) + ([] if crop else list(triplets))}
+    for h, w in uncropped:
         _check_slice_size(h, w)
+    smallest = min([min(s) for s in uncropped] + ([crop] if crop else []))
+    if config.ssim.window_size > smallest:
+        raise ConfigError(f"ssim window_size {config.ssim.window_size} exceeds {smallest}px maps")
 
     model = build_model(config.model, seed=config.seed)
     optimizer = Adam(list(model.named_parameters()), lr=config.optimizer.lr,

@@ -3,10 +3,11 @@
 Everything here is written the slow, obvious way (explicit loops,
 direct summation) on purpose: these are the oracles the fast
 implementations are compared against, so they must not share any code
-or algebraic shortcuts with them. ``batch_norm_naive`` differs in form:
-it is the composition of elementwise tensor ops that ``tensor.batch_norm``
-replaced, so its gradients come from the chain rule through every
-intermediate rather than from the closed form.
+or algebraic shortcuts with them. ``batch_norm_naive`` and ``ssim_naive``
+differ in form: they are the compositions of tensor ops that
+``tensor.batch_norm`` and ``losses.ssim`` replaced, so their gradients come
+from the chain rule through every intermediate rather than from the closed
+form.
 """
 
 import math
@@ -15,6 +16,7 @@ import numpy as np
 
 from hqinet import tensor as T
 from hqinet.ctsim import Sinogram
+from hqinet.losses import SsimParams, _window_rows
 from hqinet.tensor import Tensor
 
 
@@ -70,6 +72,48 @@ def batch_norm_naive(x, gamma, beta, epsilon, stats=None):
     out = T.add(T.mul(xhat, T.reshape(gamma, (1, c, 1, 1))),
                 T.reshape(beta, (1, c, 1, 1)))
     return (out,) + stats
+
+
+def ssim_naive(pred, ref, params=None):
+    """Mean local SSIM composed of tensor ops, with the signature of
+    ``losses.ssim``: 21 graph nodes for a 4-D batch when only ``pred``
+    requires grad (26 when both do), plus a reshape per 2-D input."""
+
+    def as4d(x):
+        if not isinstance(x, Tensor):
+            x = Tensor(np.asarray(x))
+        if x.data.ndim == 2:
+            h, w = x.data.shape
+            return T.reshape(x, (1, 1, h, w))
+        if x.data.ndim == 4:
+            return x
+        raise ValueError(f"expected a 2-d image or (n,c,h,w) batch, got shape {x.data.shape}")
+
+    if params is None:
+        params = SsimParams()
+    x = as4d(pred)
+    y = as4d(ref)
+    if x.data.shape != y.data.shape:
+        raise ValueError(f"shape mismatch: {x.data.shape} vs {y.data.shape}")
+    h, w = x.data.shape[2:]
+    k = params.window_size
+    if k > min(h, w):
+        raise ValueError(f"window {k} larger than image {h}x{w}")
+    ah = _window_rows(h, k, params.window_sigma, x.data.dtype)
+    aw = _window_rows(w, k, params.window_sigma, x.data.dtype)
+    mu_x, mu_y, e_xx, e_yy, e_xy = [T.separable(t, ah, aw) for t in (
+        x, y, T.mul(x, x), T.mul(y, y), T.mul(x, y))]
+    mu_xx = T.mul(mu_x, mu_x)
+    mu_yy = T.mul(mu_y, mu_y)
+    mu_xy = T.mul(mu_x, mu_y)
+    var_x = T.sub(e_xx, mu_xx)
+    var_y = T.sub(e_yy, mu_yy)
+    cov = T.sub(e_xy, mu_xy)
+    c1 = float(params.c1)
+    c2 = float(params.c2)
+    num = T.mul(T.add(T.mul(mu_xy, 2.0), c1), T.add(T.mul(cov, 2.0), c2))
+    den = T.mul(T.add(T.add(mu_xx, mu_yy), c1), T.add(T.add(var_x, var_y), c2))
+    return T.tmean(T.div(num, den))
 
 
 def l1_naive(pred, ref):

@@ -9,7 +9,7 @@ from hqinet.losses import LossWeights, SsimParams, l1_loss, loss_terms, ssim, ss
 from hqinet.runconfig import RunConfig
 
 from _gradcheck import check
-from _oracles import gaussian_window_naive, ssim_windowed_naive
+from _oracles import gaussian_window_naive, ssim_naive, ssim_windowed_naive
 
 
 def img(shape, seed, lo=0.0, hi=1.0):
@@ -182,6 +182,46 @@ class TestOracleEquivalence:
         assert got == pytest.approx(np.mean(per), abs=1e-12)
 
 
+class TestSsimOp:
+    """``ssim`` against the composition of tensor ops it replaced."""
+
+    @pytest.mark.parametrize("shape", [(2, 3, 16, 16), (16, 16), (2, 1, 12, 19), (13, 9)])
+    @pytest.mark.parametrize("sigma", [1.5, 0.0])
+    @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+    def test_matches_composition(self, shape, sigma, dtype, tol):
+        x, y = img(shape, 40).astype(dtype), img(shape, 41).astype(dtype)
+        p = SsimParams(window_size=7, window_sigma=sigma)
+        results = []
+        for fn in (ssim, ssim_naive):
+            leaves = [Tensor(a.copy(), requires_grad=True) for a in (x, y)]
+            s = fn(*leaves, p)
+            s.backward()
+            results.append([s.data] + [t.grad for t in leaves])
+        (s, gx, gy), (s_want, gx_want, gy_want) = results
+        assert s.dtype == dtype and s.shape == () and s == s_want  # bit-equal
+        for got, want in ((gx, gx_want), (gy, gy_want)):
+            assert got.dtype == dtype and got.shape == shape
+            assert np.abs(got - want).max() <= tol * np.abs(want).max()
+
+    def test_one_input_requires_grad(self):
+        x, y = img((1, 1, 8, 8), 42), img((1, 1, 8, 8), 43)
+        p = SsimParams(window_size=5)
+        both = [Tensor(a, requires_grad=True) for a in (x, y)]
+        ssim(*both, p).backward()
+        for i in range(2):
+            leaves = [Tensor(a, requires_grad=j == i) for j, a in enumerate((x, y))]
+            ssim(*leaves, p).backward()
+            assert np.array_equal(leaves[i].grad, both[i].grad)
+            assert leaves[1 - i].grad is None
+
+    def test_one_graph_node(self):
+        x = Tensor(img((16, 16), 44), requires_grad=True)
+        y = Tensor(img((16, 16), 45))
+        assert ssim(x, y)._parents == (x, y)  # no reshape for 2-d input either
+        with T.no_grad():
+            assert ssim(x, y)._backward is None
+
+
 class TestGradients:
     def test_l1_gradcheck(self):
         x = Tensor(img((1, 1, 6, 6), 23), requires_grad=True)
@@ -193,9 +233,9 @@ class TestGradients:
 
     def test_ssim_gradcheck(self):
         x = Tensor(img((1, 1, 8, 8), 25), requires_grad=True)
-        y = Tensor(img((1, 1, 8, 8), 26))
+        y = Tensor(img((1, 1, 8, 8), 26), requires_grad=True)
         p = SsimParams(window_size=5)
-        check(lambda: ssim(x, y, p), [x])
+        check(lambda: ssim(x, y, p), [x, y])
 
     def test_combined_gradcheck_both_inputs(self):
         x = Tensor(img((1, 1, 8, 8), 27), requires_grad=True)

@@ -15,8 +15,9 @@ from hqinet.checkpoint import (CheckpointError, CheckpointMagicError, Checkpoint
                                restore_model_state, restore_optimizer_state,
                                save_checkpoint)
 from hqinet.cli import main
-from hqinet.dataset import SyntheticSpec, generate_dataset, load_triplets
+from hqinet.dataset import SyntheticSpec, generate_dataset, load_triplets, random_crop
 from hqinet.errors import ConfigError, NumericError
+from hqinet.losses import SsimParams
 from hqinet.network import ModelConfig, build_model
 from hqinet.optim import Adam
 from hqinet.runconfig import DataConfig, OptimizerConfig, RunConfig
@@ -507,6 +508,44 @@ class TestCLI:
             assert "slices are 40x40; the model needs sizes divisible by 16" in (
                 capsys.readouterr().err)
             assert not run_dir.exists() or not any(run_dir.iterdir())
+
+    def test_ssim_window_larger_than_maps_is_config_error(self, data_dir, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        # The 16px training crops, then the uncropped 32px training slices.
+        for crop, window in ((16, 17), (0, 33)):
+            cfg = make_config(data_dir, run_dir)
+            cfg.data.crop = crop
+            cfg.ssim = SsimParams(window_size=window)
+            cfg.to_json(str(tmp_path / "config.json"))
+            assert main(["train", "--config", str(tmp_path / "config.json")]) == 2
+            assert f"ssim window_size {window} exceeds {window - 1}px maps" in (
+                capsys.readouterr().err)
+            assert not run_dir.exists() or not any(run_dir.iterdir())
+        # Validation slices are never cropped, so they bound the window too.
+        cfg = make_config(data_dir, run_dir)
+        cfg.data.crop = 0
+        cfg.ssim = SsimParams(window_size=17)
+        val = [random_crop(t, 16, np.random.default_rng(0))
+               for t in load_triplets(data_dir, "test")]
+        with pytest.raises(ConfigError, match="exceeds 16px maps"):
+            train(cfg, val_triplets=val)
+        assert not any(run_dir.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--resume", "{dir}"],
+        ["eval", "--checkpoint", "{dir}"],
+        ["reconstruct", "--checkpoint", "{last}", "--input", "{dir}"],
+        ["generate", "--out", "{file}"],
+        ["train", "--out", "{file}"],
+    ], ids=["resume-dir", "checkpoint-dir", "input-dir", "generate-out-file",
+            "train-out-file"])
+    def test_os_error_is_data_error(self, argv, run, data_dir, tmp_path, capsys):
+        a_file = tmp_path / "a_file"
+        a_file.write_bytes(b"")
+        cfg_path = self._write_config(tmp_path, data_dir, str(tmp_path / "run"))
+        paths = {"dir": str(tmp_path), "file": str(a_file), "last": run.last_path}
+        assert main([a.format(**paths) for a in argv] + ["--config", cfg_path]) == 3
+        assert "data error: [Errno" in capsys.readouterr().err
 
     def test_resume_over_malformed_log_is_data_error(self, run, data_dir, tmp_path, capsys):
         run_dir = tmp_path / "run"

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import struct
 
 import numpy as np
 
 from .errors import ConfigError
+from .volume_io import atomic_write
 
 __all__ = [
     "CheckpointError",
@@ -117,20 +117,12 @@ def save_checkpoint(path, model, optimizer, config_dict, epoch, step,
         "buffers": buffer_meta,
     }
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    # Write beside the target and rename over it, so a failed write
-    # leaves the previous checkpoint whole.
-    tmp = path + ".tmp"
-    f = open(tmp, "wb")
-    try:
-        with f:
-            f.write(_PREFIX.pack(MAGIC, FORMAT_VERSION, len(head)))
-            f.write(head)
-            for blob in blobs:
-                f.write(blob.tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    # A failed write leaves the previous checkpoint whole.
+    with atomic_write(path) as f:
+        f.write(_PREFIX.pack(MAGIC, FORMAT_VERSION, len(head)))
+        f.write(head)
+        for blob in blobs:
+            f.write(blob.tobytes())
 
 
 def _well_formed(meta):

@@ -10,6 +10,7 @@ volume's max so the pair shares one scale.
 
 from __future__ import annotations
 
+import itertools
 import os
 import re
 from dataclasses import dataclass
@@ -116,8 +117,9 @@ def generate_patient_pair(spec: SyntheticSpec, seed, patient_index):
     return low.astype(np.float32), full.astype(np.float32), norm
 
 
-# Files generate_dataset writes: p<id>_{low,full}.{hqiv,json}.
-_VOLUME_FILE = re.compile(r"p\d+_(low|full)\.(hqiv|json)")
+# Files generate_dataset writes, and the temp files an interrupted write
+# leaves beside them: p<id>_{low,full}.{hqiv,json}[.tmp].
+_VOLUME_FILE = re.compile(r"p\d+_(low|full)\.(hqiv|json)(\.tmp)?")
 
 
 def _patient_files(out_dir, split, pid):
@@ -125,12 +127,36 @@ def _patient_files(out_dir, split, pid):
     return base + "_low.hqiv", base + "_full.hqiv"
 
 
+def _generate_patient(spec, seed, patient_index):
+    # The pool pickles this function by name; generate_patient_pair is
+    # looked up when it runs, so a replacement (a test double, a profiling
+    # wrapper) inherited by a forked worker is the one called.
+    return generate_patient_pair(spec, seed, patient_index)
+
+
+def _cpu_count():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
 def generate_dataset(out_dir, spec: SyntheticSpec, seed, force=False):
     """Write train/ and test/ splits of paired volumes with manifests.
 
     Patient ids are globally numbered, so the splits never share one.
     Refuses to touch an existing non-empty directory unless forced.
+    Patients are computed in a pool of worker processes, one per
+    available CPU and at most one per patient; this process writes each
+    patient's files as its result arrives, in patient order, so files,
+    return value and any partial state a failure leaves are those of
+    generating one patient after another.
     """
+    # Imported here, so that importing the package (every CLI verb) does not
+    # pay for the pool machinery.
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     if os.path.isdir(out_dir) and os.listdir(out_dir) and not force:
         raise DataError(
             f"output directory {out_dir} is not empty; pass force to overwrite")
@@ -142,14 +168,22 @@ def generate_dataset(out_dir, spec: SyntheticSpec, seed, force=False):
             for name in os.listdir(split_dir):
                 if _VOLUME_FILE.fullmatch(name):
                     os.remove(os.path.join(split_dir, name))
+    jobs = [(split, offset + k) for split, count, offset in
+            (("train", spec.n_train, 0), ("test", spec.n_test, spec.n_train))
+            for k in range(count)]
     written = []
-    for split, count, offset in (("train", spec.n_train, 0),
-                                 ("test", spec.n_test, spec.n_train)):
-        os.makedirs(os.path.join(out_dir, split), exist_ok=True)
-        for k in range(count):
-            pidx = offset + k
+    pool = ProcessPoolExecutor(min(_cpu_count(), len(jobs)))
+    try:
+        results = pool.map(_generate_patient, itertools.repeat(spec),
+                           itertools.repeat(seed), [pidx for _, pidx in jobs])
+        for split, pidx in jobs:
+            os.makedirs(os.path.join(out_dir, split), exist_ok=True)
             pid = f"p{pidx:03d}"
-            low, full, norm = generate_patient_pair(spec, seed, pidx)
+            try:
+                low, full, norm = next(results)
+            except BrokenProcessPool as exc:
+                raise DataError(f"a worker process died before patient {pid} "
+                                f"was generated: {exc}") from exc
             low_path, full_path = _patient_files(out_dir, split, pid)
             common = {
                 "patient_id": pid,
@@ -163,6 +197,10 @@ def generate_dataset(out_dir, spec: SyntheticSpec, seed, force=False):
             write_volume(full_path, full, manifest={**common, "dose": "full",
                                                     "i0": spec.full_i0})
             written.append((split, pid))
+    finally:
+        # Drop the patients no worker has started and join every worker,
+        # whether all patients were written or one failed.
+        pool.shutdown(cancel_futures=True)
     return written
 
 

@@ -510,7 +510,8 @@ def separable(x, ry, rx):
 
 def bilinear_upsample(x, out_h, out_w):
     """Bilinear resize to ``(out_h, out_w)`` with half-pixel centers,
-    applied as one interpolation matrix per axis."""
+    applied as one interpolation matrix per axis. A same-size resize is
+    the identity and returns ``x`` itself."""
     x = _as_tensor(x)
     xd = x.data
     if xd.ndim != 4:
@@ -518,6 +519,8 @@ def bilinear_upsample(x, out_h, out_w):
     n, c, h, w = xd.shape
     if out_h < h or out_w < w:
         raise ValueError(f"output size ({out_h},{out_w}) must not shrink input ({h},{w})")
+    if (out_h, out_w) == (h, w):
+        return x
     return separable(x, _interp_matrix(h, out_h, xd.dtype),
                      _interp_matrix(w, out_w, xd.dtype))
 

@@ -9,6 +9,7 @@ extension.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import struct
@@ -29,6 +30,7 @@ __all__ = [
     "manifest_path",
     "write_manifest",
     "read_manifest",
+    "atomic_write",
     "MAGIC",
     "FORMAT_VERSION",
 ]
@@ -64,6 +66,22 @@ class VolumeShapeError(VolumeFormatError):
     pass
 
 
+@contextlib.contextmanager
+def atomic_write(path, mode="wb"):
+    """Open ``<path>.tmp`` for writing and rename it over ``path`` once the
+    block succeeds; on any failure remove it, so ``path`` is either whole
+    or as it was before."""
+    tmp = os.fspath(path) + ".tmp"
+    f = open(tmp, mode)
+    try:
+        with f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def manifest_path(path):
     return os.path.splitext(os.fspath(path))[0] + ".json"
 
@@ -77,7 +95,7 @@ def write_volume(path, volume, manifest=None):
     if max(n, h, w) > _U32_MAX:
         raise ValueError(f"dimensions {vol.shape} exceed the format's u32 fields")
     payload = np.ascontiguousarray(vol, dtype="<f4")
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         f.write(_HEADER.pack(MAGIC, FORMAT_VERSION, DTYPE_FLOAT32_LE, n, h, w))
         f.write(payload.tobytes())
     if manifest is not None:
@@ -114,7 +132,7 @@ def read_volume(path):
 
 
 def write_manifest(volume_path, manifest):
-    with open(manifest_path(volume_path), "w") as f:
+    with atomic_write(manifest_path(volume_path), "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
 

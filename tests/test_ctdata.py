@@ -1,7 +1,9 @@
 """Synthetic CT pipeline: phantoms, projection, dose noise, reconstruction,
 triplet assembly, and the on-disk volume format."""
 
+import errno
 import math
+import multiprocessing
 import os
 
 import numpy as np
@@ -16,7 +18,7 @@ from hqinet.dataset import (SliceTriplet, SyntheticSpec, build_triplets,
                             stack_batch)
 from hqinet.errors import ConfigError, DataError
 from hqinet.metrics import nmse, psnr
-from hqinet import volume_io
+from hqinet import dataset, volume_io
 from hqinet.runconfig import DataConfig, RunConfig
 from hqinet.volume_io import (VolumeDtypeError, VolumeMagicError,
                               VolumeShapeError, VolumeTruncatedError,
@@ -492,6 +494,68 @@ class TestDatasetOnDisk:
             "p001_full.hqiv", "p001_full.json", "p001_low.hqiv", "p001_low.json"]
         assert (root / "notes.txt").read_text() == "kept"
 
+    def test_force_drops_leftover_temp_files(self, tmp_path):
+        root = tmp_path / "data"
+        generate_dataset(str(root), FAST_SPEC, seed=0)
+        for name in ("p007_low.hqiv.tmp", "p007_full.json.tmp", "notes.tmp"):
+            (root / "train" / name).write_text("x")
+        generate_dataset(str(root), FAST_SPEC, seed=0, force=True)
+        assert sorted(os.listdir(root / "train")) == [
+            "notes.tmp", "p000_full.hqiv", "p000_full.json",
+            "p000_low.hqiv", "p000_low.json"]
+
+    def test_pooled_dataset_matches_in_process_patients(self, tmp_path):
+        # More patients than CPUs, so workers take several patients each.
+        spec = SyntheticSpec(n_train=3, n_test=2, n_slices=3, size=32,
+                             n_views=24, n_detectors=47)
+        root = tmp_path / "data"
+        written = generate_dataset(str(root), spec, seed=5)
+        assert written == [("train", "p000"), ("train", "p001"), ("train", "p002"),
+                           ("test", "p003"), ("test", "p004")]
+        for pidx, (split, pid) in enumerate(written):
+            low, full, norm = generate_patient_pair(spec, 5, pidx)
+            common = {"patient_id": pid, "n_views": 24, "seed": 5,
+                      "normalization": "full-volume-max", "norm_max": norm}
+            for dose, vol, i0 in (("low", low, spec.low_i0), ("full", full, spec.full_i0)):
+                path = str(root / split / f"{pid}_{dose}.hqiv")
+                assert np.array_equal(read_volume(path), vol)
+                assert read_manifest(path) == {**common, "dose": dose, "i0": i0}
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_is_a_data_error(self, tmp_path, monkeypatch):
+        real = dataset.generate_patient_pair
+
+        def dies_on_patient_one(spec, seed, patient_index):
+            if patient_index == 1:
+                os._exit(1)  # as an OOM kill or a segfault ends a worker
+            return real(spec, seed, patient_index)
+
+        monkeypatch.setattr(dataset, "generate_patient_pair", dies_on_patient_one)
+        spec = SyntheticSpec(n_train=3, n_test=1, n_slices=3, size=32,
+                             n_views=24, n_detectors=47)
+        with pytest.raises(DataError, match=r"worker process died before patient p00\d"):
+            generate_dataset(str(tmp_path / "data"), spec, seed=0)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_exception_keeps_its_type(self, tmp_path, monkeypatch):
+        real = dataset.generate_patient_pair
+
+        def fails_on_patient_one(spec, seed, patient_index):
+            if patient_index == 1:
+                raise ValueError("bad patient")
+            return real(spec, seed, patient_index)
+
+        monkeypatch.setattr(dataset, "generate_patient_pair", fails_on_patient_one)
+        spec = SyntheticSpec(n_train=3, n_test=1, n_slices=3, size=32,
+                             n_views=24, n_detectors=47)
+        root = tmp_path / "data"
+        with pytest.raises(ValueError, match="bad patient"):
+            generate_dataset(str(root), spec, seed=0)
+        assert multiprocessing.active_children() == []
+        # patients are written in order, so only the one before the failure is on disk
+        assert sorted(os.listdir(root / "train")) == [
+            "p000_full.hqiv", "p000_full.json", "p000_low.hqiv", "p000_low.json"]
+
     def test_load_errors(self, tmp_path):
         with pytest.raises(DataError):
             load_volume_pairs(str(tmp_path / "nope"), "train")
@@ -518,6 +582,36 @@ class TestVolumeFormat:
         assert back.dtype == np.float32
         assert back.shape == (2, 4, 5)
         assert np.array_equal(back.view(np.uint32), vol.view(np.uint32))
+
+    @pytest.mark.parametrize("write", [
+        lambda path, vol: write_volume(path, vol),
+        lambda path, vol: volume_io.write_manifest(path, {"values": vol.tolist()}),
+    ], ids=["volume", "manifest"])
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch, write):
+        class FullDisk:
+            """A file whose first write lands and whose next one fails."""
+
+            def __init__(self, f):
+                self.f, self.writes = f, 0
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes > 1:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return self.f.write(data)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+        monkeypatch.setattr(volume_io, "open",
+                            lambda *a, **k: FullDisk(open(*a, **k)), raising=False)
+        path = str(tmp_path / "v.hqiv")
+        with pytest.raises(OSError, match="No space"):
+            write(path, self._vol())
+        assert os.listdir(tmp_path) == []
 
     def test_special_values_survive(self, tmp_path):
         path = str(tmp_path / "v.hqiv")

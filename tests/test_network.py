@@ -329,7 +329,7 @@ class TestHQINet:
                 seen.add(id(t))
                 nodes += t._backward is not None
                 stack.extend(t._parents)
-        assert nodes == 175
+        assert nodes == 174
 
 
 class TestParameterCensus:

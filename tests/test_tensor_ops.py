@@ -356,6 +356,14 @@ class TestStructuralOps:
                         + x[0, c, y0 + 1, x0 + 1] * fy * fx)
         assert np.allclose(got, want, atol=1e-12)
 
+    def test_bilinear_upsample_same_size_is_identity(self):
+        x = leaf((2, 3, 5, 7), 19)
+        assert T.bilinear_upsample(x, 5, 7) is x
+        # the resize it skips maps every value to itself bit for bit
+        resized = T.separable(x, T._interp_matrix(5, 5, x.data.dtype),
+                              T._interp_matrix(7, 7, x.data.dtype))
+        assert np.array_equal(resized.data, x.data)
+
     def test_bilinear_upsample_grad(self):
         x = leaf((1, 2, 3, 3), 18)
         check(lambda: T.tsum(T.mul(T.bilinear_upsample(x, 6, 6),

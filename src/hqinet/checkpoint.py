@@ -199,43 +199,43 @@ def load_checkpoint(path):
         params=params, moments_m=moments_m, moments_v=moments_v, buffers=buffers)
 
 
-def restore_model_state(model, state: CheckpointState):
-    """Copy checkpoint parameters and buffers into the model, rejecting
-    the first name or shape that does not line up."""
-    model_params = list(model.named_parameters())
-    for name, p in model_params:
-        if name not in state.params:
-            raise CheckpointShapeError(f"parameter {name} missing from checkpoint")
-        arr = state.params[name]
-        if tuple(arr.shape) != tuple(p.data.shape):
+def _check_names_and_shapes(kind, live, saved):
+    """Raise CheckpointShapeError at the first name that is not in both
+    ``live`` and ``saved`` or whose arrays differ in shape."""
+    for name, arr in live.items():
+        if name not in saved:
+            raise CheckpointShapeError(f"{kind} {name} missing from checkpoint")
+        if saved[name].shape != arr.shape:
             raise CheckpointShapeError(
-                f"parameter {name}: checkpoint shape {tuple(arr.shape)} "
-                f"does not match model shape {tuple(p.data.shape)}")
-    model_names = {name for name, _ in model_params}
-    for name in state.params:
-        if name not in model_names:
-            raise CheckpointShapeError(f"parameter {name} not present in model")
-    for name, p in model_params:
+                f"{kind} {name}: checkpoint shape {saved[name].shape} "
+                f"does not match model shape {arr.shape}")
+    for name in saved:
+        if name not in live:
+            raise CheckpointShapeError(f"{kind} {name} not present in model")
+
+
+def restore_model_state(model, state: CheckpointState):
+    """Copy checkpoint parameters and buffers into the model, cast to its
+    dtypes, once every name and shape lines up; otherwise raise on the
+    first that does not and leave the model as it was."""
+    params = dict(model.named_parameters())
+    buffers = dict(model.named_buffers())
+    _check_names_and_shapes("parameter", {n: p.data for n, p in params.items()},
+                            state.params)
+    _check_names_and_shapes("buffer", buffers, state.buffers)
+    for name, p in params.items():
         p.data = state.params[name].astype(p.data.dtype, copy=True)
         p.grad = None
-    for name, _ in model.named_buffers():
-        if name not in state.buffers:
-            raise CheckpointShapeError(f"buffer {name} missing from checkpoint")
-        model.set_buffer(name, state.buffers[name].copy())
+    for name, buf in buffers.items():
+        buf[...] = state.buffers[name]
 
 
 def restore_optimizer_state(optimizer, state: CheckpointState):
-    names = [n for n, _ in optimizer.params]
-    for store, saved in ((optimizer.m, state.moments_m),
-                         (optimizer.v, state.moments_v)):
-        for name in names:
-            if name not in saved:
-                raise CheckpointShapeError(
-                    f"optimizer state for {name} missing from checkpoint")
-            if saved[name].shape != store[name].shape:
-                raise CheckpointShapeError(
-                    f"optimizer state {name}: checkpoint shape {saved[name].shape} "
-                    f"does not match {store[name].shape}")
+    stores = ((optimizer.m, state.moments_m), (optimizer.v, state.moments_v))
+    for kind, (store, saved) in zip(("first moment", "second moment"), stores):
+        _check_names_and_shapes(kind, store, saved)
+    for store, saved in stores:
+        for name in store:
             store[name] = saved[name].astype(store[name].dtype, copy=True)
     adam = state.adam
     for key in ("lr", "beta1", "beta2", "epsilon"):

@@ -2,20 +2,24 @@
 photon-statistics dose noise, and filtered backprojection.
 
 Geometry conventions: images are square, pixel units, rotation center at
-((s-1)/2, (s-1)/2). Detector coordinates and ray steps use the same unit
-(detector_spacing defaults to one pixel). View angles cover [0, pi).
+((s-1)/2, (s-1)/2). Detectors are one pixel apart, and rays are sampled
+at two steps per pixel (_OVERSAMPLE). The n_views view angles are
+k * pi / n_views for k = 0 .. n_views - 1. Sinograms are plain float64
+arrays: ``radon`` maps an ``(n, s, s)`` image stack to an
+``(n, n_views, n_detectors)`` stack, ``apply_low_dose`` degrades one
+``(n_views, n_detectors)`` sinogram, and ``fbp`` maps an
+``(m, n_views, n_detectors)`` stack to ``(m, out_size, out_size)``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "Phantom",
-    "Sinogram",
     "render_ellipses",
     "generate_phantom_volume",
     "radon",
@@ -33,22 +37,24 @@ OPTICAL_DEPTHS = 4.0
 # buffers stay in cache while every slice of a stack is gathered.
 _RAY_BLOCK_TAPS = 1 << 15
 
+# Ray samples per pixel along each ray.
+_OVERSAMPLE = 2
+
 
 @dataclass
 class Phantom:
-    """A 2-D attenuation map in [0, 1] plus its generating ellipses.
+    """A 2-D attenuation map in [0, 1]."""
+
+    image: np.ndarray
+
+
+def render_ellipses(size, ellipses):
+    """Sum of ellipse indicators on a size x size grid, clipped to [0, 1].
 
     Each ellipse is (cx, cy, a, b, theta, intensity) in normalized
     coordinates: centers and axes relative to the half-width, so the
     image square spans [-1, 1] on both axes.
     """
-
-    image: np.ndarray
-    ellipses: list = field(default_factory=list)
-
-
-def render_ellipses(size, ellipses):
-    """Sum of ellipse indicators on a size x size grid, clipped to [0, 1]."""
     img = np.zeros((size, size), dtype=np.float64)
     if not ellipses:
         return img
@@ -111,57 +117,27 @@ def generate_phantom_volume(seed, n_slices, size, n_ellipses_range=(4, 8)):
             theta = bp[4] + i * vp[4] + jit[4]
             intensity = float(np.clip(bp[5] + i * vp[5] + jit[5], 0.05, 0.6))
             ellipses.append((cx, cy, a, b, theta, intensity))
-        out.append(Phantom(image=render_ellipses(size, ellipses), ellipses=ellipses))
+        out.append(Phantom(image=render_ellipses(size, ellipses)))
     return out
 
 
-@dataclass
-class Sinogram:
-    """Line integrals, one row per view angle."""
-
-    data: np.ndarray
-    view_angles: np.ndarray
-    detector_spacing: float = 1.0
-    i0: float = math.inf
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.float64)
-        self.view_angles = np.asarray(self.view_angles, dtype=np.float64)
-        if self.data.ndim != 2 or self.data.shape[0] < 1:
-            raise ValueError(f"sinogram must be (n_views, n_detectors), got {self.data.shape}")
-        if self.data.shape[0] != self.view_angles.shape[0]:
-            raise ValueError("one angle per view required")
-        if not (self.i0 > 0):
-            raise ValueError(f"i0 must be > 0, got {self.i0}")
-        if not np.isfinite(self.data).all():
-            raise ValueError("sinogram data must be finite")
-
-    @property
-    def n_views(self):
-        return self.data.shape[0]
-
-    @property
-    def n_detectors(self):
-        return self.data.shape[1]
+def _view_angles(n_views):
+    """Angles of the n_views parallel-beam views, evenly covering [0, pi)."""
+    return np.arange(n_views, dtype=np.float64) * math.pi / n_views
 
 
-def radon(image, n_views, n_detectors, detector_spacing=1.0, oversample=2):
-    """Parallel-beam forward projection of a square image or image stack.
+def radon(images, n_views, n_detectors):
+    """Parallel-beam forward projection of an ``(n, s, s)`` image stack.
 
     Each view rotates the sampling grid and sums bilinearly interpolated
-    values along rays at ``oversample`` steps per pixel (Joseph's
-    ray-driven method). A view's ray geometry (corner indices, weights,
-    inside mask) depends only on the geometry, so it is built once and
-    applied to every slice of an ``(n, s, s)`` stack. An ``(s, s)`` image
-    returns one Sinogram, a stack a list of ``n``.
+    values along rays at _OVERSAMPLE steps per pixel (Joseph's ray-driven
+    method). A view's ray geometry (corner indices, weights, inside mask)
+    depends only on the geometry, so it is built once and applied to
+    every slice. Returns the ``(n, n_views, n_detectors)`` sinograms.
     """
-    img = np.asarray(image, dtype=np.float64)
-    single = img.ndim == 2
-    stack = img[None] if single else img
-    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
-        raise ValueError(f"image must be square (s, s) or (n, s, s), got {img.shape}")
-    if stack.shape[0] < 1:
-        raise ValueError("image stack must hold at least one slice")
+    stack = np.asarray(images, dtype=np.float64)
+    if stack.ndim != 3 or stack.shape[0] < 1 or stack.shape[1] != stack.shape[2]:
+        raise ValueError(f"images must be a non-empty (n, s, s) stack, got {stack.shape}")
     if n_views < 1 or n_detectors < 1:
         raise ValueError("n_views and n_detectors must be >= 1")
     n, s = stack.shape[0], stack.shape[1]
@@ -173,9 +149,8 @@ def radon(image, n_views, n_detectors, detector_spacing=1.0, oversample=2):
     flat = pad.reshape(n, w * w)
     corners = [(flat[i], flat[i, 1:], flat[i, w:], flat[i, w + 1:]) for i in range(n)]
     center = (s - 1) / 2.0
-    angles = np.arange(n_views, dtype=np.float64) * math.pi / n_views
-    t = (np.arange(n_detectors, dtype=np.float64) - (n_detectors - 1) / 2.0) * detector_spacing
-    step = 1.0 / oversample
+    t = np.arange(n_detectors, dtype=np.float64) - (n_detectors - 1) / 2.0
+    step = 1.0 / _OVERSAMPLE
     half_len = s * math.sqrt(2.0) / 2.0
     n_steps = int(math.ceil(2.0 * half_len / step)) + 1
     ray = -half_len + step * np.arange(n_steps, dtype=np.float64)
@@ -183,7 +158,7 @@ def radon(image, n_views, n_detectors, detector_spacing=1.0, oversample=2):
     rows = max(1, _RAY_BLOCK_TAPS // n_steps)
     vals_buf = np.empty((rows, n_steps), dtype=np.float64)
     term_buf = np.empty_like(vals_buf)
-    for v, theta in enumerate(angles):
+    for v, theta in enumerate(_view_angles(n_views)):
         ct, st = math.cos(theta), math.sin(theta)
         for r0 in range(0, n_detectors, rows):
             tb = t[r0:r0 + rows, None]
@@ -215,90 +190,80 @@ def radon(image, n_views, n_detectors, detector_spacing=1.0, oversample=2):
                     vals += term
                 vals *= inside
                 data[i, v, r0:r0 + rows] = vals.sum(axis=1) * step
-    sinos = [Sinogram(data=data[i], view_angles=angles.copy(),
-                      detector_spacing=detector_spacing) for i in range(n)]
-    return sinos[0] if single else sinos
+    return data
 
 
-def apply_low_dose(sino: Sinogram, i0, seed):
-    """Photon-count noise at dose i0 via Beer-Lambert transmission.
+def apply_low_dose(sino, i0, seed):
+    """Photon-count noise at dose i0 on one ``(n_views, n_detectors)``
+    sinogram, via Beer-Lambert transmission.
 
     The line integrals are scaled so the sinogram peak corresponds to
     OPTICAL_DEPTHS; counts are Poisson-sampled and clamped to >= 1
     before the log transform back to line integrals.
     """
+    sino = np.asarray(sino, dtype=np.float64)
+    if sino.ndim != 2:
+        raise ValueError(f"sinogram must be (n_views, n_detectors), got {sino.shape}")
     if not (i0 > 0):
         raise ValueError(f"i0 must be > 0, got {i0}")
-    pmax = float(sino.data.max())
+    pmax = float(sino.max())
     mu = OPTICAL_DEPTHS / pmax if pmax > 0 else 1.0
     rng = np.random.default_rng(seed)
-    expected = i0 * np.exp(-mu * sino.data)
+    expected = i0 * np.exp(-mu * sino)
     counts = np.maximum(rng.poisson(expected), 1)
-    noisy = -np.log(counts / i0) / mu
-    return Sinogram(data=noisy, view_angles=sino.view_angles.copy(),
-                    detector_spacing=sino.detector_spacing, i0=float(i0))
+    return -np.log(counts / i0) / mu
 
 
-def _ramlak_kernel(n_detectors, spacing):
+def _ramlak_kernel(n_detectors):
     """Discrete ramp filter taps for offsets -(n-1) .. (n-1)."""
     n = np.arange(-(n_detectors - 1), n_detectors, dtype=np.float64)
     kern = np.zeros_like(n)
-    kern[n_detectors - 1] = 1.0 / (4.0 * spacing * spacing)
+    kern[n_detectors - 1] = 0.25
     odd = (np.abs(n) % 2) == 1
-    kern[odd] = -1.0 / (math.pi * n[odd] * spacing) ** 2
+    kern[odd] = -1.0 / (math.pi * n[odd]) ** 2
     return kern
 
 
 def fbp(sinos, out_size):
-    """Filtered backprojection onto an out_size x out_size grid.
+    """Filtered backprojection of an ``(m, n_views, n_detectors)`` sinogram
+    stack onto ``(m, out_size, out_size)``.
 
-    ``sinos`` is one Sinogram, giving an ``(out_size, out_size)`` image,
-    or a list of sinograms that share one geometry (views, detectors,
-    angles, spacing), giving an ``(m, out_size, out_size)`` stack; each
-    view's detector coordinates are computed once for the whole list.
-    Ramp filtering runs as an FFT-based linear convolution with the
+    Each view's detector coordinates are computed once for the whole
+    stack. Ramp filtering runs as an FFT-based linear convolution with the
     discrete ramp kernel; backprojection interpolates each filtered view
     linearly and weights the angle sum by pi / n_views. Output is
     clamped to [0, 1.5]; any volume-level renormalization is the
     caller's concern.
     """
+    sinos = np.asarray(sinos, dtype=np.float64)
+    if sinos.ndim != 3 or 0 in sinos.shape:
+        raise ValueError(f"sinograms must be a non-empty (m, n_views, n_detectors) "
+                         f"stack, got {sinos.shape}")
     if out_size < 1:
         raise ValueError(f"out_size must be >= 1, got {out_size}")
-    single = isinstance(sinos, Sinogram)
-    batch = [sinos] if single else list(sinos)
-    if not batch:
-        raise ValueError("fbp needs at least one sinogram")
-    first = batch[0]
-    for other in batch[1:]:
-        if (other.data.shape != first.data.shape
-                or other.detector_spacing != first.detector_spacing
-                or not np.array_equal(other.view_angles, first.view_angles)):
-            raise ValueError("sinograms must share shape, view angles and detector spacing")
-    nv, nd = first.data.shape
-    d = first.detector_spacing
-    kern = _ramlak_kernel(nd, d)
+    n_sinos, nv, nd = sinos.shape
+    kern = _ramlak_kernel(nd)
     m = 1
     while m < nd + kern.size - 1:
         m *= 2
     kf = np.fft.rfft(kern, m)
-    # One FFT per sinogram: a batched transform over the list would hold
+    # One FFT per sinogram: a batched transform over the stack would hold
     # every spectrum at once.
-    filtered = np.empty((len(batch), nv, nd), dtype=np.float64)
-    for j, sino in enumerate(batch):
-        conv = np.fft.irfft(np.fft.rfft(sino.data, m, axis=1) * kf[None, :], m, axis=1)
+    filtered = np.empty((n_sinos, nv, nd), dtype=np.float64)
+    for j, sino in enumerate(sinos):
+        conv = np.fft.irfft(np.fft.rfft(sino, m, axis=1) * kf[None, :], m, axis=1)
         # Taps start at offset -(nd-1), so the aligned slice begins there.
-        filtered[j] = conv[:, nd - 1:2 * nd - 1] * d
+        filtered[j] = conv[:, nd - 1:2 * nd - 1]
     center = (out_size - 1) / 2.0
     ys, xs = np.mgrid[0:out_size, 0:out_size]
     x = xs - center
     y = ys - center
-    recon = np.zeros((len(batch), out_size, out_size), dtype=np.float64)
+    recon = np.zeros((n_sinos, out_size, out_size), dtype=np.float64)
     lo = np.empty((out_size, out_size), dtype=np.float64)
     hi = np.empty_like(lo)
     det_center = (nd - 1) / 2.0
-    for v in range(nv):
-        theta = first.view_angles[v]
-        tcoord = (x * math.cos(theta) + y * math.sin(theta)) / d + det_center
+    for v, theta in enumerate(_view_angles(nv)):
+        tcoord = x * math.cos(theta) + y * math.sin(theta) + det_center
         idx = np.floor(tcoord).astype(np.int64)
         frac = tcoord - idx
         invalid = (idx < 0) | (idx > nd - 2)
@@ -308,7 +273,7 @@ def fbp(sinos, out_size):
         # Per sinogram, view[idxc]*(1-frac) + view[idxc+1]*frac, zero off
         # the detector. The indices are already in range; take's "wrap"
         # mode writes straight into the buffer, where "raise" would copy.
-        for j in range(len(batch)):
+        for j in range(n_sinos):
             view = filtered[j, v]
             np.take(view, idxc, out=lo, mode="wrap")
             lo *= gfrac
@@ -319,4 +284,4 @@ def fbp(sinos, out_size):
             recon[j] += lo
     recon *= math.pi / nv
     np.clip(recon, 0.0, 1.5, out=recon)
-    return recon[0] if single else recon
+    return recon

@@ -106,10 +106,10 @@ def generate_patient_pair(spec: SyntheticSpec, seed, patient_index):
         np.stack([ph.image for ph in generate_phantom_volume(
             [seed, patient_index], spec.n_slices, spec.size, spec.n_ellipses_range)]),
         spec.n_views, spec.n_detectors)
-    low = fbp([apply_low_dose(sino, spec.low_i0, [seed, patient_index, si, 0])
-               for si, sino in enumerate(sinos)], spec.size)
-    full = fbp([apply_low_dose(sino, spec.full_i0, [seed, patient_index, si, 1])
-                for si, sino in enumerate(sinos)], spec.size)
+    low = fbp(np.stack([apply_low_dose(sino, spec.low_i0, [seed, patient_index, si, 0])
+                        for si, sino in enumerate(sinos)]), spec.size)
+    full = fbp(np.stack([apply_low_dose(sino, spec.full_i0, [seed, patient_index, si, 1])
+                         for si, sino in enumerate(sinos)]), spec.size)
     norm = float(full.max())
     if norm > 0:
         low /= norm

@@ -77,22 +77,6 @@ class Module:
         for name, child in self._children():
             yield from child.named_buffers(prefix + name + ".")
 
-    def set_buffer(self, name, array):
-        """Replace a registered buffer by dotted name (list indices allowed)."""
-        parts = name.split(".")
-        obj = self
-        try:
-            for part in parts[:-1]:
-                if isinstance(obj, (list, tuple)):
-                    obj = obj[int(part)]
-                else:
-                    obj = getattr(obj, part)
-        except (AttributeError, IndexError, ValueError) as exc:
-            raise KeyError(name) from exc
-        if not isinstance(obj, Module) or parts[-1] not in obj._buffers:
-            raise KeyError(name)
-        obj._buffers[parts[-1]] = np.asarray(array)
-
     def modules(self):
         yield self
         for _, child in self._children():

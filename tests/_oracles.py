@@ -15,7 +15,6 @@ import math
 import numpy as np
 
 from hqinet import tensor as T
-from hqinet.ctsim import Sinogram
 from hqinet.losses import SsimParams, _window_rows
 from hqinet.tensor import Tensor
 
@@ -231,11 +230,13 @@ def truncated_std(std, cut=2.0):
 # for every call.
 
 
-def radon_naive(image, n_views, n_detectors, detector_spacing=1.0, oversample=2):
-    """Parallel-beam forward projection of a square image.
+def radon_naive(image, n_views, n_detectors):
+    """Parallel-beam forward projection of a square image: its
+    ``(n_views, n_detectors)`` sinogram.
 
     Each view rotates the sampling grid and sums bilinearly interpolated
-    values along rays at ``oversample`` steps per pixel.
+    values along rays at two steps per pixel, with detectors one pixel
+    apart.
     """
     img = np.asarray(image, dtype=np.float64)
     if img.ndim != 2 or img.shape[0] != img.shape[1]:
@@ -247,8 +248,8 @@ def radon_naive(image, n_views, n_detectors, detector_spacing=1.0, oversample=2)
     pad[1:-1, 1:-1] = img
     center = (s - 1) / 2.0
     angles = np.arange(n_views, dtype=np.float64) * math.pi / n_views
-    t = (np.arange(n_detectors, dtype=np.float64) - (n_detectors - 1) / 2.0) * detector_spacing
-    step = 1.0 / oversample
+    t = np.arange(n_detectors, dtype=np.float64) - (n_detectors - 1) / 2.0
+    step = 0.5
     half_len = s * math.sqrt(2.0) / 2.0
     n_steps = int(math.ceil(2.0 * half_len / step)) + 1
     ray = -half_len + step * np.arange(n_steps, dtype=np.float64)
@@ -270,21 +271,22 @@ def radon_naive(image, n_views, n_detectors, detector_spacing=1.0, oversample=2)
                 + pad[y0c + 1, x0c] * fy * (1 - fx)
                 + pad[y0c + 1, x0c + 1] * fy * fx)
         data[v] = (vals * inside).sum(axis=1) * step
-    return Sinogram(data=data, view_angles=angles, detector_spacing=detector_spacing)
+    return data
 
 
-def _ramlak_kernel(n_detectors, spacing):
-    """Discrete ramp filter taps for offsets -(n-1) .. (n-1)."""
+def _ramlak_kernel(n_detectors):
+    """Discrete ramp filter taps for offsets -(n-1) .. (n-1), unit spacing."""
     n = np.arange(-(n_detectors - 1), n_detectors, dtype=np.float64)
     kern = np.zeros_like(n)
-    kern[n_detectors - 1] = 1.0 / (4.0 * spacing * spacing)
+    kern[n_detectors - 1] = 1.0 / 4.0
     odd = (np.abs(n) % 2) == 1
-    kern[odd] = -1.0 / (math.pi * n[odd] * spacing) ** 2
+    kern[odd] = -1.0 / (math.pi * n[odd]) ** 2
     return kern
 
 
-def fbp_naive(sino: Sinogram, out_size):
-    """Filtered backprojection onto an out_size x out_size grid.
+def fbp_naive(sino, out_size):
+    """Filtered backprojection of one ``(n_views, n_detectors)`` sinogram
+    onto an out_size x out_size grid.
 
     Ramp filtering runs as an FFT-based linear convolution with the
     discrete ramp kernel; backprojection interpolates each filtered view
@@ -294,17 +296,16 @@ def fbp_naive(sino: Sinogram, out_size):
     """
     if out_size < 1:
         raise ValueError(f"out_size must be >= 1, got {out_size}")
-    nv, nd = sino.data.shape
-    d = sino.detector_spacing
-    kern = _ramlak_kernel(nd, d)
+    nv, nd = sino.shape
+    kern = _ramlak_kernel(nd)
     m = 1
     while m < nd + kern.size - 1:
         m *= 2
     kf = np.fft.rfft(kern, m)
-    pf = np.fft.rfft(sino.data, m, axis=1)
+    pf = np.fft.rfft(sino, m, axis=1)
     conv = np.fft.irfft(pf * kf[None, :], m, axis=1)
     # Taps start at offset -(nd-1), so the aligned slice begins there.
-    filtered = conv[:, nd - 1:2 * nd - 1] * d
+    filtered = conv[:, nd - 1:2 * nd - 1]
     center = (out_size - 1) / 2.0
     ys, xs = np.mgrid[0:out_size, 0:out_size]
     x = xs - center
@@ -312,8 +313,8 @@ def fbp_naive(sino: Sinogram, out_size):
     recon = np.zeros((out_size, out_size), dtype=np.float64)
     det_center = (nd - 1) / 2.0
     for v in range(nv):
-        theta = sino.view_angles[v]
-        tcoord = (x * math.cos(theta) + y * math.sin(theta)) / d + det_center
+        theta = v * math.pi / nv
+        tcoord = x * math.cos(theta) + y * math.sin(theta) + det_center
         idx = np.floor(tcoord).astype(np.int64)
         frac = tcoord - idx
         valid = (idx >= 0) & (idx <= nd - 2)

@@ -210,12 +210,12 @@ def test_simulation_sanity():
     spec = SyntheticSpec()
     phantom = generate_phantom_volume([0, 0], 1, spec.size,
                                       spec.n_ellipses_range)[0].image
-    sino = radon(phantom, spec.n_views, spec.n_detectors)
-    clean_db = psnr(fbp(sino, spec.size), phantom)
+    sino = radon(phantom[None], spec.n_views, spec.n_detectors)
+    clean_db = psnr(fbp(sino, spec.size)[0], phantom)
     dose_db = []
     for i0 in (1e3, 1e4, 1e5, 1e6):
-        noisy = apply_low_dose(sino, i0, [0, 17])
-        dose_db.append(psnr(fbp(noisy, spec.size), phantom))
+        noisy = apply_low_dose(sino[0], i0, [0, 17])
+        dose_db.append(psnr(fbp(noisy[None], spec.size)[0], phantom))
     monotone = all(lo < hi for lo, hi in zip(dose_db, dose_db[1:]))
     ok = clean_db >= 25.0 and monotone
     ladder = "/".join(f"{v:.2f}" for v in dose_db)

@@ -5,7 +5,8 @@ import pytest
 
 from hqinet import tensor as T
 from hqinet.checkpoint import (CheckpointShapeError, load_checkpoint,
-                               restore_optimizer_state, save_checkpoint)
+                               restore_model_state, restore_optimizer_state,
+                               save_checkpoint)
 from hqinet.tensor import Tensor
 from hqinet.nn import (BatchNorm2d, Conv2d, Module, Parameter,
                        init_truncated_gaussian, initialize_parameters)
@@ -58,15 +59,6 @@ class TestModuleWalk:
         opt.zero_grad()
         assert all(p.grad is None for _, p in m.named_parameters())
 
-    def test_set_buffer_through_list_child(self):
-        m = Tiny()
-        m.set_buffer("bn.running_mean", np.full(3, 2.5))
-        assert np.all(m.bn._buffers["running_mean"] == 2.5)
-        with pytest.raises(KeyError):
-            m.set_buffer("bn.nope", np.zeros(3))
-        with pytest.raises(KeyError):
-            m.set_buffer("blocks.5.weight", np.zeros(3))
-
     def test_num_parameters(self):
         m = Tiny()
         want = sum(p.data.size for _, p in m.named_parameters())
@@ -114,8 +106,9 @@ class TestBatchNorm:
 
     def test_eval_mode_uses_running_stats(self):
         bn = BatchNorm2d(1, dtype=np.float64).eval()
-        bn.set_buffer("running_mean", np.array([2.0]))
-        bn.set_buffer("running_var", np.array([4.0]))
+        buffers = dict(bn.named_buffers())
+        buffers["running_mean"][...] = 2.0
+        buffers["running_var"][...] = 4.0
         x = Tensor(np.full((1, 1, 2, 2), 6.0))
         out = bn(x).data
         want = (6.0 - 2.0) / np.sqrt(4.0 + bn.epsilon)
@@ -260,3 +253,40 @@ class TestAdam:
         del state.moments_v["bn.beta"]
         with pytest.raises(CheckpointShapeError):
             restore_optimizer_state(opt2, state)
+        state = load_checkpoint(path)
+        state.moments_m["ghost"] = np.zeros(3)
+        with pytest.raises(CheckpointShapeError, match="ghost"):
+            restore_optimizer_state(opt2, state)
+
+    def test_model_restore_checks_buffers(self, tmp_path):
+        m = Tiny()
+        opt = Adam(list(m.named_parameters()), lr=0.01)
+        path = str(tmp_path / "tiny.hqic")
+        save_checkpoint(path, m, opt, {}, 1, 1, np.random.default_rng(0).bit_generator.state)
+
+        m2 = Tiny()
+        live = dict(m2.named_buffers())
+        state = load_checkpoint(path)
+        state.buffers["bn.running_mean"] = np.arange(3.0)  # float64, right shape
+        restore_model_state(m2, state)
+        # copied into the live arrays, cast to the model's dtype
+        assert m2.bn._buffers["running_mean"] is live["bn.running_mean"]
+        assert live["bn.running_mean"].dtype == np.float32
+        assert np.array_equal(live["bn.running_mean"], [0.0, 1.0, 2.0])
+
+        m3 = Tiny()
+        weight = m3.first.weight.data.copy()
+        for name, arr in (("bn.running_mean", np.zeros(2)),    # wrong shape
+                          ("bn.running_var", None),            # missing
+                          ("bn.running_count", np.zeros(3))):  # not in the model
+            state = load_checkpoint(path)
+            state.params["first.weight"] = state.params["first.weight"] + 1.0
+            if arr is None:
+                del state.buffers[name]
+            else:
+                state.buffers[name] = arr
+            with pytest.raises(CheckpointShapeError, match=f"buffer {name}"):
+                restore_model_state(m3, state)
+            # nothing is restored unless every name and shape lines up
+            assert np.array_equal(m3.first.weight.data, weight)
+            assert np.array_equal(m3.bn._buffers["running_mean"], np.zeros(3))

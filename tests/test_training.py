@@ -611,6 +611,30 @@ class TestCLI:
             assert main(["train", "--config", cfg_path, "--resume", bad]) == 3
             assert "header" in capsys.readouterr().err
 
+    def test_misshaped_buffer_checkpoint_exit_code(self, run, data_dir, tmp_path, capsys):
+        # A buffer entry with another shape and dtype but the same byte
+        # count loads, and restoring it is refused.
+        raw = open(run.last_path, "rb").read()
+        magic, version, head_len = ckpt._PREFIX.unpack_from(raw)
+        start = ckpt._PREFIX.size
+        header = json.loads(raw[start:start + head_len])
+        name = "stem.unit1.bn.running_mean"
+        entry = next(e for e in header["buffers"] if e[0] == name)
+        assert entry[2] == "<f4" and entry[1][0] % 2 == 0
+        entry[1:] = [[entry[1][0] // 2], "<f8"]
+        head = json.dumps(header).encode()
+        bad = str(tmp_path / "bad.hqic")
+        with open(bad, "wb") as f:
+            f.write(ckpt._PREFIX.pack(magic, version, len(head)) + head
+                    + raw[start + head_len:])
+        state = load_checkpoint(bad)
+        with pytest.raises(CheckpointShapeError, match=f"buffer {name}"):
+            restore_model_state(build_model(RunConfig.from_dict(state.config).model), state)
+        low = os.path.join(data_dir, "test", "p002_low.hqiv")
+        assert main(["reconstruct", "--checkpoint", bad, "--input", low,
+                     "--out", str(tmp_path / "recon")]) == 3
+        assert f"buffer {name}" in capsys.readouterr().err
+
     def test_train_without_best_checkpoint_says_so(self, data_dir, tmp_path, capsys,
                                                    monkeypatch):
         real = cli.train

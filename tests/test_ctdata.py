@@ -251,13 +251,18 @@ class TestStackedAgainstOracle:
         a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
         return np.array_equal(a, b) and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
+    # coverage scales the detector count: at 0.75 the detector row is
+    # narrower than the image diagonal, so rays and backprojected pixels
+    # fall off its ends. A stack of one slice is the former single image.
+    @pytest.mark.parametrize("n_slices", [1, 2, 3])
+    @pytest.mark.parametrize("coverage", [0.75, 1.0])
     @pytest.mark.parametrize("n_views", [1, 7, 24])
     @pytest.mark.parametrize("size", [32, 33, 40])
-    def test_radon_and_fbp_bit_identical(self, size, n_views):
-        rng = np.random.default_rng([size, n_views])
+    def test_radon_and_fbp_bit_identical(self, size, n_views, coverage, n_slices):
+        rng = np.random.default_rng([size, n_views, n_slices])
         # signed values: zero signs and clamping must match too
-        stack = rng.uniform(-0.25, 1.0, size=(3, size, size))
-        n_det = int(1.5 * size) | 1
+        stack = rng.uniform(-0.25, 1.0, size=(n_slices, size, size))
+        n_det = int(1.5 * size * coverage) | 1
         sinos = radon(stack, n_views, n_det)
         for got, img in zip(sinos, stack):
             assert self.same_bits(got, radon_naive(img, n_views, n_det))

@@ -224,6 +224,8 @@ def load_volume_pairs(data_dir, split):
         if low.shape != full.shape:
             raise DataError(
                 f"{pid}: low volume {low.shape} vs full volume {full.shape}")
+        if low.shape[0] < 3:
+            raise DataError(f"{pid}: {low.shape[0]} slices; slice triplets need >= 3")
         try:
             manifest = read_manifest(low_path)
         except FileNotFoundError:

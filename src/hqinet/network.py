@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import tensor as T
 from .nn import BatchNorm2d, Conv2d, Module, initialize_parameters
 from .tensor import Tensor
@@ -119,11 +117,10 @@ class EncoderOutputs:
 
 
 class ConvBNReLU(Module):
-    def __init__(self, in_c, out_c, kernel_size, stride=1, padding=0, dtype=np.float32):
+    def __init__(self, in_c, out_c, kernel_size, stride=1, padding=0):
         super().__init__()
-        self.conv = Conv2d(in_c, out_c, kernel_size, stride=stride,
-                           padding=padding, bias=False, dtype=dtype)
-        self.bn = BatchNorm2d(out_c, dtype=dtype)
+        self.conv = Conv2d(in_c, out_c, kernel_size, stride=stride, padding=padding, bias=False)
+        self.bn = BatchNorm2d(out_c)
 
     def forward(self, x):
         return T.relu(self.bn(self.conv(x)))
@@ -132,10 +129,10 @@ class ConvBNReLU(Module):
 class Stem(Module):
     """Two 3x3 conv-BN-relu units, the first at stride 2."""
 
-    def __init__(self, in_c, out_c, dtype=np.float32):
+    def __init__(self, in_c, out_c):
         super().__init__()
-        self.unit1 = ConvBNReLU(in_c, out_c, 3, stride=2, padding=1, dtype=dtype)
-        self.unit2 = ConvBNReLU(out_c, out_c, 3, stride=1, padding=1, dtype=dtype)
+        self.unit1 = ConvBNReLU(in_c, out_c, 3, stride=2, padding=1)
+        self.unit2 = ConvBNReLU(out_c, out_c, 3, stride=1, padding=1)
 
     def forward(self, x):
         return self.unit2(self.unit1(x))
@@ -144,11 +141,11 @@ class Stem(Module):
 class ChannelSE(Module):
     """Channel gate: squeeze to a vector, two 1x1 convs, sigmoid, rescale."""
 
-    def __init__(self, channels, reduction, dtype=np.float32):
+    def __init__(self, channels, reduction):
         super().__init__()
         hidden = max(1, channels // reduction)
-        self.squeeze = Conv2d(channels, hidden, 1, bias=True, dtype=dtype)
-        self.expand = Conv2d(hidden, channels, 1, bias=True, dtype=dtype)
+        self.squeeze = Conv2d(channels, hidden, 1, bias=True)
+        self.expand = Conv2d(hidden, channels, 1, bias=True)
 
     def gate(self, x):
         z = T.global_avg_pool(x)
@@ -161,9 +158,9 @@ class ChannelSE(Module):
 class SpatialSE(Module):
     """Spatial gate: 1x1 conv to one channel, sigmoid, rescale."""
 
-    def __init__(self, channels, dtype=np.float32):
+    def __init__(self, channels):
         super().__init__()
-        self.proj = Conv2d(channels, 1, 1, bias=True, dtype=dtype)
+        self.proj = Conv2d(channels, 1, 1, bias=True)
 
     def gate(self, x):
         return T.sigmoid(self.proj(x))
@@ -175,10 +172,10 @@ class SpatialSE(Module):
 class SCSE(Module):
     """Sum of the channel-gated and spatially-gated inputs."""
 
-    def __init__(self, channels, reduction, dtype=np.float32):
+    def __init__(self, channels, reduction):
         super().__init__()
-        self.cse = ChannelSE(channels, reduction, dtype=dtype)
-        self.sse = SpatialSE(channels, dtype=dtype)
+        self.cse = ChannelSE(channels, reduction)
+        self.sse = SpatialSE(channels)
 
     def forward(self, x):
         return T.add(self.cse(x), self.sse(x))
@@ -189,18 +186,18 @@ class Bottleneck(Module):
     branch before the shortcut addition; projection shortcut on any shape
     change."""
 
-    def __init__(self, in_c, base_c, stride, se_reduction, dtype=np.float32):
+    def __init__(self, in_c, base_c, stride, se_reduction):
         super().__init__()
         out_c = base_c * EXPANSION
-        self.reduce = ConvBNReLU(in_c, base_c, 1, dtype=dtype)
-        self.spatial = ConvBNReLU(base_c, base_c, 3, stride=stride, padding=1, dtype=dtype)
-        self.expand = Conv2d(base_c, out_c, 1, bias=False, dtype=dtype)
-        self.expand_bn = BatchNorm2d(out_c, dtype=dtype)
-        self.attn = SCSE(out_c, se_reduction, dtype=dtype)
+        self.reduce = ConvBNReLU(in_c, base_c, 1)
+        self.spatial = ConvBNReLU(base_c, base_c, 3, stride=stride, padding=1)
+        self.expand = Conv2d(base_c, out_c, 1, bias=False)
+        self.expand_bn = BatchNorm2d(out_c)
+        self.attn = SCSE(out_c, se_reduction)
         self.has_projection = stride != 1 or in_c != out_c
         if self.has_projection:
-            self.shortcut = Conv2d(in_c, out_c, 1, stride=stride, bias=False, dtype=dtype)
-            self.shortcut_bn = BatchNorm2d(out_c, dtype=dtype)
+            self.shortcut = Conv2d(in_c, out_c, 1, stride=stride, bias=False)
+            self.shortcut_bn = BatchNorm2d(out_c)
         self.out_channels = out_c
 
     def forward(self, x):
@@ -220,25 +217,18 @@ class ASPP(Module):
     the concatenation is projected to ``out_channels`` by a 1x1 conv.
     """
 
-    def __init__(self, in_c, rates, out_channels, dtype=np.float32):
+    def __init__(self, in_c, rates, out_channels):
         super().__init__()
         self.rates = tuple(rates)
-        self.point = Conv2d(in_c, out_channels, 1, bias=True, dtype=dtype)
+        self.point = Conv2d(in_c, out_channels, 1, bias=True)
         # Padding each branch by its rate keeps the map size and lets any
         # rate run on any input of at least one pixel.
-        self.depthwise = [
-            Conv2d(in_c, in_c, 3, dilation=r, padding=r, groups=in_c,
-                   bias=False, dtype=dtype)
-            for r in self.rates
-        ]
-        self.pointwise = [
-            Conv2d(in_c, out_channels, 1, bias=True, dtype=dtype)
-            for _ in self.rates
-        ]
-        self.pool_conv = Conv2d(in_c, out_channels, 1, bias=True, dtype=dtype)
+        self.depthwise = [Conv2d(in_c, in_c, 3, dilation=r, padding=r, groups=in_c, bias=False)
+                          for r in self.rates]
+        self.pointwise = [Conv2d(in_c, out_channels, 1, bias=True) for _ in self.rates]
+        self.pool_conv = Conv2d(in_c, out_channels, 1, bias=True)
         n_branches = 2 + len(self.rates)
-        self.project = Conv2d(n_branches * out_channels, out_channels, 1,
-                              bias=True, dtype=dtype)
+        self.project = Conv2d(n_branches * out_channels, out_channels, 1, bias=True)
 
     def forward(self, x):
         n, c, h, w = x.data.shape
@@ -253,11 +243,11 @@ class ASPP(Module):
 class DecoderBlock(Module):
     """2x upsample, concat a 1x1-projected skip, refine with two 3x3 units."""
 
-    def __init__(self, dec_c, skip_c, proj_c, out_c, dtype=np.float32):
+    def __init__(self, dec_c, skip_c, proj_c, out_c):
         super().__init__()
-        self.proj = ConvBNReLU(skip_c, proj_c, 1, dtype=dtype)
-        self.refine1 = ConvBNReLU(dec_c + proj_c, out_c, 3, padding=1, dtype=dtype)
-        self.refine2 = ConvBNReLU(out_c, out_c, 3, padding=1, dtype=dtype)
+        self.proj = ConvBNReLU(skip_c, proj_c, 1)
+        self.refine1 = ConvBNReLU(dec_c + proj_c, out_c, 3, padding=1)
+        self.refine2 = ConvBNReLU(out_c, out_c, 3, padding=1)
 
     def forward(self, dec, skip):
         sh, sw = skip.data.shape[2], skip.data.shape[3]
@@ -275,10 +265,10 @@ class ReconstructionHead(Module):
     """Upsample all four decoder outputs to the target size, concat, fuse
     with a 3x3 conv-BN-relu, and map to one channel with a 1x1 conv."""
 
-    def __init__(self, dec_channels, fuse_c, dtype=np.float32):
+    def __init__(self, dec_channels, fuse_c):
         super().__init__()
-        self.fuse = ConvBNReLU(sum(dec_channels), fuse_c, 3, padding=1, dtype=dtype)
-        self.out = Conv2d(fuse_c, 1, 1, bias=True, dtype=dtype)
+        self.fuse = ConvBNReLU(sum(dec_channels), fuse_c, 3, padding=1)
+        self.out = Conv2d(fuse_c, 1, 1, bias=True)
 
     def forward(self, decoder_outputs, target_h, target_w):
         ups = [T.bilinear_upsample(d, target_h, target_w) for d in decoder_outputs]
@@ -288,11 +278,11 @@ class ReconstructionHead(Module):
 class HQINet(Module):
     """Full network: triplet of neighboring slices in, middle slice out."""
 
-    def __init__(self, config: ModelConfig, dtype=np.float32):
+    def __init__(self, config: ModelConfig):
         super().__init__()
         self.config = config
         w = config.widths()
-        self.stem = Stem(IN_SLICES, w["stem"], dtype=dtype)
+        self.stem = Stem(IN_SLICES, w["stem"])
         stage_strides = (1, 2, 2, 2)
         in_c = w["stem"]
         stages = []
@@ -300,22 +290,21 @@ class HQINet(Module):
                                        stage_strides):
             blocks = []
             for b in range(count):
-                blocks.append(Bottleneck(in_c, base, stride if b == 0 else 1,
-                                         config.se_reduction, dtype=dtype))
+                blocks.append(Bottleneck(in_c, base, stride if b == 0 else 1, config.se_reduction))
                 in_c = base * EXPANSION
             stages.append(blocks)
         self.stage1 = stages[0]
         self.stage2 = stages[1]
         self.stage3 = stages[2]
         self.stage4 = stages[3]
-        self.aspp = ASPP(w["stage_out"][3], config.aspp_rates, w["aspp"], dtype=dtype)
+        self.aspp = ASPP(w["stage_out"][3], config.aspp_rates, w["aspp"])
         dc = w["decoder"]
         sp = w["skip_proj"]
-        self.decoder1 = DecoderBlock(w["aspp"], w["stage_out"][2], sp, dc[0], dtype=dtype)
-        self.decoder2 = DecoderBlock(dc[0], w["stage_out"][1], sp, dc[1], dtype=dtype)
-        self.decoder3 = DecoderBlock(dc[1], w["stage_out"][0], sp, dc[2], dtype=dtype)
-        self.decoder4 = DecoderBlock(dc[2], w["stem"], sp, dc[3], dtype=dtype)
-        self.head = ReconstructionHead(dc, dc[3], dtype=dtype)
+        self.decoder1 = DecoderBlock(w["aspp"], w["stage_out"][2], sp, dc[0])
+        self.decoder2 = DecoderBlock(dc[0], w["stage_out"][1], sp, dc[1])
+        self.decoder3 = DecoderBlock(dc[1], w["stage_out"][0], sp, dc[2])
+        self.decoder4 = DecoderBlock(dc[2], w["stem"], sp, dc[3])
+        self.head = ReconstructionHead(dc, dc[3])
 
     def encode(self, x) -> EncoderOutputs:
         n, c, h, w = x.data.shape
@@ -352,8 +341,8 @@ class HQINet(Module):
         return self.head((d1, d2, d3, d4), h, w)
 
 
-def build_model(config: ModelConfig, seed=None, dtype=np.float32) -> HQINet:
-    model = HQINet(config, dtype=dtype)
+def build_model(config: ModelConfig, seed=None) -> HQINet:
+    model = HQINet(config)
     if seed is not None:
         initialize_parameters(model, seed)
     return model

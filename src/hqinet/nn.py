@@ -21,6 +21,10 @@ __all__ = [
     "initialize_parameters",
 ]
 
+BN_MOMENTUM = 0.1  # BatchNorm2d's running-statistics update rate
+BN_EPSILON = 1e-5  # BatchNorm2d's variance floor
+INIT_STD = 0.01  # standard deviation of the conv weight init
+
 
 class Parameter(Tensor):
     """A trainable tensor; named when its module tree is walked."""
@@ -107,7 +111,7 @@ class Module:
 
 class Conv2d(Module):
     def __init__(self, in_channels, out_channels, kernel_size, stride=1,
-                 dilation=1, groups=1, padding=0, bias=True, dtype=np.float32):
+                 dilation=1, groups=1, padding=0, bias=True):
         super().__init__()
         if in_channels % groups or out_channels % groups:
             raise ValueError(
@@ -118,8 +122,8 @@ class Conv2d(Module):
         self.groups = groups
         self.padding = padding
         self.weight = Parameter(np.zeros(
-            (out_channels, in_channels // groups, kernel_size, kernel_size), dtype=dtype))
-        self.bias = Parameter(np.zeros(out_channels, dtype=dtype)) if bias else None
+            (out_channels, in_channels // groups, kernel_size, kernel_size), dtype=np.float32))
+        self.bias = Parameter(np.zeros(out_channels, dtype=np.float32)) if bias else None
 
     def forward(self, x):
         return T.conv2d(x, self.weight, self.bias, stride=self.stride,
@@ -136,34 +140,29 @@ class BatchNorm2d(Module):
     inference before any update).
     """
 
-    def __init__(self, channels, momentum=0.1, epsilon=1e-5, dtype=np.float32):
+    def __init__(self, channels):
         super().__init__()
-        if epsilon <= 0:
-            raise ValueError(f"epsilon must be > 0, got {epsilon}")
         self.channels = channels
-        self.momentum = momentum
-        self.epsilon = epsilon
-        self.gamma = Parameter(np.ones(channels, dtype=dtype))
-        self.beta = Parameter(np.zeros(channels, dtype=dtype))
-        self.register_buffer("running_mean", np.zeros(channels, dtype=dtype))
-        self.register_buffer("running_var", np.ones(channels, dtype=dtype))
+        self.gamma = Parameter(np.ones(channels, dtype=np.float32))
+        self.beta = Parameter(np.zeros(channels, dtype=np.float32))
+        self.register_buffer("running_mean", np.zeros(channels, dtype=np.float32))
+        self.register_buffer("running_var", np.ones(channels, dtype=np.float32))
 
     def forward(self, x):
         c = self.channels
         if x.data.shape[1] != c:
             raise ValueError(f"expected {c} channels, got {x.data.shape[1]}")
-        buf, m = self._buffers, self.momentum
+        buf, m = self._buffers, BN_MOMENTUM
         stats = None if self.training else (buf["running_mean"], buf["running_var"])
-        out, mean, var = T.batch_norm(x, self.gamma, self.beta, self.epsilon, stats)
+        out, mean, var = T.batch_norm(x, self.gamma, self.beta, BN_EPSILON, stats)
         if self.training:
             buf["running_mean"] = (1.0 - m) * buf["running_mean"] + m * mean
             buf["running_var"] = (1.0 - m) * buf["running_var"] + m * var
         return out
 
 
-def init_truncated_gaussian(shape, mean=0.0, std=0.01, seed=None, rng=None,
-                            dtype=np.float64):
-    """Gaussian draw with values outside ``mean +/- 2 std`` redrawn.
+def init_truncated_gaussian(shape, mean=0.0, std=INIT_STD, seed=None, rng=None):
+    """float64 Gaussian draw with values outside ``mean +/- 2 std`` redrawn.
 
     Deterministic for a fixed seed (or caller-supplied generator).
     """
@@ -176,10 +175,10 @@ def init_truncated_gaussian(shape, mean=0.0, std=0.01, seed=None, rng=None,
     while bad.any():
         vals[bad] = rng.normal(mean, std, size=int(bad.sum()))
         bad = np.abs(vals - mean) > 2.0 * std
-    return Tensor(vals.reshape(shape).astype(dtype))
+    return vals.reshape(shape)
 
 
-def initialize_parameters(module, seed, std=0.01):
+def initialize_parameters(module, seed):
     """Truncated-Gaussian conv weights, zero biases, unit batch-norm gains.
 
     One generator streams through the parameters in registration order,
@@ -189,8 +188,7 @@ def initialize_parameters(module, seed, std=0.01):
     for name, p in module.named_parameters():
         leaf = name.rsplit(".", 1)[-1]
         if leaf == "weight":
-            drawn = init_truncated_gaussian(p.data.shape, 0.0, std, rng=rng)
-            p.data = drawn.data.astype(p.data.dtype)
+            p.data = init_truncated_gaussian(p.data.shape, rng=rng).astype(p.data.dtype)
         elif leaf == "gamma":
             p.data = np.ones_like(p.data)
         else:

@@ -74,6 +74,10 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.lr <= 0:
             raise ValueError(f"lr must be > 0, got {self.lr}")
+        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
+            raise ValueError(f"beta1 and beta2 must be in [0, 1), got {self.beta1}, {self.beta2}")
+        if self.epsilon <= 0:
+            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
 
 
 @dataclass

@@ -21,7 +21,7 @@ import numpy as np
 from . import tensor as T
 from .checkpoint import (check_model_config, load_checkpoint, restore_model_state,
                          restore_optimizer_state, save_checkpoint)
-from .dataset import build_triplets, load_triplets, load_volume_pairs, random_crop, stack_batch
+from .dataset import load_triplets, load_volume_pairs, random_crop, stack_batch
 from .errors import ConfigError, DataError, NumericError
 from .losses import loss_terms
 from .metrics import format_table, metrics_report
@@ -100,14 +100,20 @@ def train(config: RunConfig, resume=None, triplets=None, val_triplets=None) -> T
     """Run the full training loop; returns paths to log and checkpoints.
 
     ``triplets``/``val_triplets`` may be passed directly (tests);
-    otherwise they are loaded from config.data.root.
+    otherwise they are loaded from config.data.root. When both splits are
+    loaded, a patient in both is a data error.
     """
     out_dir = config.output_dir
     os.makedirs(out_dir, exist_ok=True)
+    from_root = triplets is None and val_triplets is None
     if triplets is None:
         triplets = load_triplets(config.data.root, "train")
     if val_triplets is None:
         val_triplets = load_triplets(config.data.root, "test")
+    if from_root:
+        shared = sorted({t.patient_id for t in triplets} & {t.patient_id for t in val_triplets})
+        if shared:
+            raise DataError(f"patients {shared} are in both splits of {config.data.root}")
     if not triplets:
         raise DataError("no training triplets")
     crop = config.data.crop
@@ -246,13 +252,13 @@ def evaluate(ckpt_path, data_dir, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     low_mids, full_mids, pred_mids = [], [], []
     for pid, low, full, _manifest in load_volume_pairs(data_dir, "test"):
-        if low.shape[0] < 3:
-            raise DataError(f"{pid}: need >= 3 slices, got {low.shape[0]}")
+        for i in range(1, low.shape[0] - 1):
+            if not (full[i] > 0).any():  # no peak for PSNR, no norm for NMSE
+                raise DataError(f"{pid}: full-dose slice {i} has no positive value")
         preds = _predict_volume(model, low, batch_size=config.batch_size)
-        for j, i in enumerate(range(1, low.shape[0] - 1)):
-            low_mids.append(low[i])
-            full_mids.append(full[i])
-            pred_mids.append(preds[j])
+        low_mids.extend(low[1:-1])
+        full_mids.extend(full[1:-1])
+        pred_mids.extend(preds)
     low_report = metrics_report(low_mids, full_mids)
     model_report = metrics_report(pred_mids, full_mids)
     table = format_table([("Low-dose", low_report), ("HQINet", model_report)])

@@ -8,6 +8,7 @@ so they carry the ``slow`` marker: ``-m "not slow"`` leaves them out.
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -243,12 +244,12 @@ def _tiny_config(data_root, out_dir, epochs):
 def test_determinism_and_resume(tiny_data, tmp_path):
     a = train(_tiny_config(tiny_data, tmp_path / "a", 3))
     b = train(_tiny_config(tiny_data, tmp_path / "b", 3))
-    log_a = open(a.log_path, "rb").read()
-    identical = log_a == open(b.log_path, "rb").read()
+    log_a = Path(a.log_path).read_bytes()
+    identical = log_a == Path(b.log_path).read_bytes()
 
     part = train(_tiny_config(tiny_data, tmp_path / "c", 1))
     train(_tiny_config(tiny_data, tmp_path / "c", 3), resume=part.last_path)
-    resumed = open(tmp_path / "c" / "loss_log.csv", "rb").read()
+    resumed = (tmp_path / "c" / "loss_log.csv").read_bytes()
     resume_ok = resumed == log_a
 
     state_a = load_checkpoint(a.last_path)
@@ -272,7 +273,7 @@ def test_format_robustness(tmp_path):
     volume_ok = np.array_equal(read_volume(vpath).view(np.uint32),
                                vol.view(np.uint32))
 
-    raw = open(vpath, "rb").read()
+    raw = Path(vpath).read_bytes()
 
     def mutated(mut):
         m = bytearray(raw)
@@ -319,8 +320,8 @@ def test_format_robustness(tmp_path):
     ck2 = str(tmp_path / "two.hqic")
     save_checkpoint(ck2, model2, opt2, state.config, state.epoch, state.step,
                     state.rng_state, state.best_val)
-    ckpt_raw = open(ck1, "rb").read()
-    ckpt_ok = ckpt_raw == open(ck2, "rb").read()
+    ckpt_raw = Path(ck1).read_bytes()
+    ckpt_ok = ckpt_raw == Path(ck2).read_bytes()
 
     def ckpt_mutated(mut):
         m = bytearray(ckpt_raw)
@@ -368,7 +369,7 @@ def test_overfit_smoke(tmp_path):
                     data=DataConfig(root="unused", crop=0),
                     output_dir=str(tmp_path / "run"), strict_determinism=True)
     result = train(cfg, triplets=triplets, val_triplets=[])
-    rows = open(result.log_path).read().splitlines()[1:]
+    rows = Path(result.log_path).read_text().splitlines()[1:]
     first = float(rows[0].split(",")[2])
     final = float(rows[-1].split(",")[2])
     elapsed = time.perf_counter() - t0

@@ -12,6 +12,7 @@ field's default is None.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 
@@ -54,7 +55,7 @@ def test_checkpoint_mutations_raise_only_checkpoint_errors(tmp_path):
     path = str(tmp_path / "ok.hqic")
     save_checkpoint(path, model, opt, RunConfig().to_dict(), 1, 3,
                     np.random.default_rng(0).bit_generator.state, best_val=0.25)
-    raw = open(path, "rb").read()
+    raw = Path(path).read_bytes()
     header_end = _PREFIX.size + _PREFIX.unpack_from(raw)[2]
     escaped = _fuzz(raw, header_end, str(tmp_path / "bad.hqic"), load_checkpoint,
                     CheckpointError, seed=0)
@@ -64,7 +65,7 @@ def test_checkpoint_mutations_raise_only_checkpoint_errors(tmp_path):
 def test_volume_mutations_raise_only_volume_errors(tmp_path):
     path = str(tmp_path / "ok.hqiv")
     write_volume(path, np.random.default_rng(1).normal(size=(3, 8, 8)).astype(np.float32))
-    raw = open(path, "rb").read()
+    raw = Path(path).read_bytes()
     escaped = _fuzz(raw, 20, str(tmp_path / "bad.hqiv"), read_volume,
                     VolumeFormatError, seed=1)
     assert not escaped, escaped[:5]
@@ -102,7 +103,7 @@ def test_checkpoint_value_mutations_raise_only_checkpoint_errors(tmp_path):
     path = str(tmp_path / "ok.hqic")
     save_checkpoint(path, model, opt, cfg.to_dict(), 1, 2,
                     np.random.default_rng(0).bit_generator.state, best_val=0.25)
-    raw = open(path, "rb").read()
+    raw = Path(path).read_bytes()
     magic, version, head_len = _PREFIX.unpack_from(raw)
     head = json.loads(raw[_PREFIX.size:_PREFIX.size + head_len])
     blobs = raw[_PREFIX.size + head_len:]
@@ -163,6 +164,14 @@ def _config_paths(config):
     return objects, values
 
 
+def _reads(config):
+    try:
+        RunConfig.from_dict(config)
+    except ConfigError:
+        return False
+    return True
+
+
 def test_config_mutations_raise_only_config_errors():
     base = RunConfig.desk().to_dict()
     objects, values = _config_paths(base)
@@ -183,10 +192,13 @@ def test_config_mutations_raise_only_config_errors():
             old = node[key]
             options = [s for s in CONFIG_SWAPS if type(s) is not type(old)]
             new = options[rng.integers(len(options))]
+        accept = new is None and path in NULLABLE
+        # Every float in the desk config is a float field's value, and an int
+        # there is read as the float of the same value, range checks and all.
+        if type(new) is int and type(old) is float:
+            node[key] = float(new)
+            accept = _reads(config)
         node[key] = new
-        # Every float in the desk config is a float field's value.
-        accept = (new is None and path in NULLABLE
-                  or type(new) is int and type(old) is float)
         try:
             RunConfig.from_dict(config)
             if not accept:

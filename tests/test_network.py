@@ -147,7 +147,7 @@ class TestAttentionGates:
         assert np.allclose(scse(x).data, want, atol=1e-7)
 
     def test_scse_gradcheck(self):
-        scse = SCSE(4, 2, dtype=np.float64)
+        scse = SCSE(4, 2).astype(np.float64)
         rng = np.random.default_rng(9)
         params = [p for _, p in scse.named_parameters()]
         for p in params:
@@ -176,7 +176,7 @@ class TestBottleneck:
         assert np.all(out >= 0.0)  # final relu
 
     def test_gradcheck(self):
-        blk = Bottleneck(4, 2, stride=1, se_reduction=2, dtype=np.float64)
+        blk = Bottleneck(4, 2, stride=1, se_reduction=2).astype(np.float64)
         rng = np.random.default_rng(12)
         params = [p for _, p in blk.named_parameters()]
         for p in params:
@@ -192,7 +192,7 @@ class TestASPP:
         # a single dense dilated conv with the rank-1 combined kernel
         rng = np.random.default_rng(13)
         cin, cout, rate = 6, 4, 2
-        aspp = ASPP(cin, (rate, 3, 4), cout, dtype=np.float64)
+        aspp = ASPP(cin, (rate, 3, 4), cout).astype(np.float64)
         dw = aspp.depthwise[0]
         pw = aspp.pointwise[0]
         dw.weight.data = rng.normal(size=dw.weight.data.shape)
@@ -221,7 +221,7 @@ class TestASPP:
         assert aspp.project.weight.data.shape[1] == 5 * 4
 
     def test_gradcheck(self):
-        aspp = ASPP(3, (1, 2), 2, dtype=np.float64)
+        aspp = ASPP(3, (1, 2), 2).astype(np.float64)
         rng = np.random.default_rng(16)
         params = [p for _, p in aspp.named_parameters()]
         for p in params:

@@ -3,6 +3,7 @@
 import json
 import os
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from hqinet.network import ModelConfig, build_model
 from hqinet.optim import Adam
 from hqinet.runconfig import DataConfig, OptimizerConfig, RunConfig
 from hqinet.trainer import LOG_HEADER, evaluate, reconstruct, train
-from hqinet.volume_io import manifest_path, read_manifest, read_volume
+from hqinet.volume_io import manifest_path, read_manifest, read_volume, write_volume
 
 SPEC = SyntheticSpec(n_train=2, n_test=1, n_slices=4, size=32,
                      n_views=24, n_detectors=47)
@@ -49,7 +50,7 @@ class TestTrainLoop:
         # 2 patients x 2 interior slices = 4 triplets, batch 2 -> 2 steps/epoch
         assert result.steps == 4
         assert result.epochs_run == 2
-        lines = open(result.log_path).read().splitlines()
+        lines = Path(result.log_path).read_text().splitlines()
         assert lines[0] == LOG_HEADER
         assert len(lines) == 1 + 4
         first = lines[1].split(",")
@@ -59,7 +60,7 @@ class TestTrainLoop:
         assert all(line.rsplit(",", 1)[1] == "0.000" for line in lines[1:])
         for name in ("epoch_001.hqic", "epoch_002.hqic", "last.hqic", "best.hqic"):
             assert os.path.exists(tmp_path / "run" / name), name
-        val_lines = open(tmp_path / "run" / "val_log.csv").read().splitlines()
+        val_lines = (tmp_path / "run" / "val_log.csv").read_text().splitlines()
         assert val_lines[0] == "epoch,val_loss"
         assert len(val_lines) == 3
         assert result.best_val <= float(val_lines[1].split(",")[1])
@@ -67,7 +68,7 @@ class TestTrainLoop:
     def test_loss_composition_in_log(self, data_dir, tmp_path):
         cfg = make_config(data_dir, tmp_path / "run")
         result = train(cfg)
-        for line in open(result.log_path).read().splitlines()[1:]:
+        for line in Path(result.log_path).read_text().splitlines()[1:]:
             _, _, loss, l1, sl, _ = line.split(",")
             assert float(loss) == pytest.approx(
                 0.85 * float(l1) + 0.15 * float(sl), rel=1e-6)
@@ -75,9 +76,9 @@ class TestTrainLoop:
     def test_strict_logs_byte_identical(self, data_dir, tmp_path):
         a = train(make_config(data_dir, tmp_path / "a"))
         b = train(make_config(data_dir, tmp_path / "b"))
-        assert open(a.log_path, "rb").read() == open(b.log_path, "rb").read()
+        assert Path(a.log_path).read_bytes() == Path(b.log_path).read_bytes()
         c = train(make_config(data_dir, tmp_path / "c", seed=1))
-        assert open(a.log_path, "rb").read() != open(c.log_path, "rb").read()
+        assert Path(a.log_path).read_bytes() != Path(c.log_path).read_bytes()
 
     def test_resume_matches_uninterrupted(self, data_dir, tmp_path):
         full = train(make_config(data_dir, tmp_path / "full", epochs=3))
@@ -86,8 +87,8 @@ class TestTrainLoop:
         part = train(part_cfg)
         resumed_cfg = make_config(data_dir, tmp_path / "part", epochs=3)
         train(resumed_cfg, resume=part.last_path)
-        full_log = open(full.log_path, "rb").read()
-        part_log = open(tmp_path / "part" / "loss_log.csv", "rb").read()
+        full_log = Path(full.log_path).read_bytes()
+        part_log = (tmp_path / "part" / "loss_log.csv").read_bytes()
         assert part_log == full_log
         # final checkpoints agree except for the embedded output_dir string
         a = load_checkpoint(full.last_path)
@@ -144,7 +145,7 @@ class TestCheckpointFormat:
 
     def test_save_load_save_byte_identical(self, data_dir, tmp_path):
         path = self._trained(data_dir, tmp_path)
-        original = open(path, "rb").read()
+        original = Path(path).read_bytes()
         state = load_checkpoint(path)
         cfg = RunConfig.from_dict(state.config)
         model = build_model(cfg.model)
@@ -156,11 +157,11 @@ class TestCheckpointFormat:
         path2 = str(tmp_path / "resaved.hqic")
         save_checkpoint(path2, model, optimizer, state.config, state.epoch,
                         state.step, state.rng_state, state.best_val)
-        assert open(path2, "rb").read() == original
+        assert Path(path2).read_bytes() == original
 
     def test_failed_save_keeps_previous_file(self, data_dir, tmp_path, monkeypatch):
         path = self._trained(data_dir, tmp_path)
-        before = open(path, "rb").read()
+        before = Path(path).read_bytes()
         state = load_checkpoint(path)
         model = build_model(RunConfig.from_dict(state.config).model)
         optimizer = Adam(list(model.named_parameters()), lr=1e-3)
@@ -182,7 +183,7 @@ class TestCheckpointFormat:
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(path, model, optimizer, state.config, 9, 99,
                             state.rng_state)
-        assert open(path, "rb").read() == before
+        assert Path(path).read_bytes() == before
         assert not [n for n in os.listdir(os.path.dirname(path)) if n.endswith(".tmp")]
 
     def test_header_fields(self, data_dir, tmp_path):
@@ -234,7 +235,7 @@ class TestCheckpointFormat:
             check_model_config(other.to_dict(), state)
 
     def _corrupt(self, path, tmp_path, mutate):
-        raw = bytearray(open(path, "rb").read())
+        raw = bytearray(Path(path).read_bytes())
         out = str(tmp_path / "bad.hqic")
         with open(out, "wb") as f:
             f.write(mutate(raw))
@@ -278,11 +279,11 @@ class TestEvaluateAndReconstruct:
     def test_evaluate_reports(self, data_dir, run, tmp_path):
         out = tmp_path / "eval"
         low_rep, model_rep = evaluate(run.last_path, data_dir, str(out))
-        text = open(out / "report.txt").read()
+        text = (out / "report.txt").read_text()
         lines = text.splitlines()
         assert lines[1].startswith("Low-dose")
         assert lines[2].startswith("HQINet")
-        report = json.load(open(out / "report.json"))
+        report = json.loads((out / "report.json").read_text())
         assert set(report) == {"low_dose", "model", "delta"}
         assert report["delta"]["psnr_db"] == pytest.approx(
             model_rep.mean["psnr_db"] - low_rep.mean["psnr_db"])
@@ -311,7 +312,7 @@ class TestEvaluateAndReconstruct:
         out = tmp_path / "recon"
         src = os.path.join(data_dir, "test", "p002_low.hqiv")
         reconstruct(run.last_path, src, str(out))
-        raw = open(out / "slice_000.pgm", "rb").read()
+        raw = (out / "slice_000.pgm").read_bytes()
         header, rest = raw.split(b"\n", 1)
         assert header == b"P5"
         dims, rest = rest.split(b"\n", 1)
@@ -572,8 +573,61 @@ class TestCLI:
                      "--checkpoint", str(tmp_path / "missing.hqic")]) == 3
         capsys.readouterr()
 
+    def test_invalid_adam_settings_are_config_error(self, data_dir, tmp_path, capsys):
+        good = make_config(data_dir, tmp_path / "run").to_dict()
+        path = tmp_path / "config.json"
+        betas = "beta1 and beta2 must be in [0, 1)"
+        for key, value, message in (("beta1", 1.5, betas), ("beta1", -0.1, betas),
+                                    ("beta2", 1.0, betas), ("epsilon", -1.0, "epsilon must be > 0"),
+                                    ("epsilon", 0.0, "epsilon must be > 0")):
+            path.write_text(json.dumps(dict(good, optimizer=dict(good["optimizer"],
+                                                                 **{key: value}))))
+            assert main(["train", "--config", str(path)]) == 2
+            assert f"invalid RunConfig.optimizer: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "loss_log.csv").exists()
+
+    def test_volume_under_three_slices_is_data_error(self, run, data_dir, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        for split, pid in (("train", "p000"), ("test", "p002")):
+            for dose in ("low", "full"):
+                path = str(data / split / f"{pid}_{dose}.hqiv")
+                write_volume(path, read_volume(path)[:2], manifest=read_manifest(path))
+        cfg_path = self._write_config(tmp_path, str(data), str(tmp_path / "run"))
+        assert main(["train", "--config", cfg_path]) == 3
+        assert "p000: 2 slices; slice triplets need >= 3" in capsys.readouterr().err
+        assert main(["eval", "--checkpoint", run.last_path, "--data", str(data),
+                     "--out", str(tmp_path / "eval")]) == 3
+        assert "p002: 2 slices; slice triplets need >= 3" in capsys.readouterr().err
+
+    def test_reference_slice_without_positive_value_is_data_error(self, run, data_dir,
+                                                                   tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        path = str(data / "test" / "p002_full.hqiv")
+        full = read_volume(path).copy()
+        full[2] = 0.0
+        write_volume(path, full, manifest=read_manifest(path))
+        out = tmp_path / "eval"
+        assert main(["eval", "--checkpoint", run.last_path, "--data", str(data),
+                     "--out", str(out)]) == 3
+        assert "p002: full-dose slice 2 has no positive value" in capsys.readouterr().err
+        assert not (out / "report.txt").exists() and not (out / "report.json").exists()
+
+    def test_patient_in_both_splits_is_data_error(self, data_dir, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        for name in os.listdir(data / "train"):
+            if name.startswith("p000_"):
+                shutil.copy(data / "train" / name, data / "test" / name)
+        run_dir = tmp_path / "run"
+        cfg_path = self._write_config(tmp_path, str(data), str(run_dir))
+        assert main(["train", "--config", cfg_path]) == 3
+        assert "patients ['p000'] are in both splits" in capsys.readouterr().err
+        assert not run_dir.exists() or not any(run_dir.iterdir())
+
     def test_malformed_checkpoint_header_exit_code(self, run, data_dir, tmp_path, capsys):
-        raw = open(run.last_path, "rb").read()
+        raw = Path(run.last_path).read_bytes()
         magic, version, head_len = ckpt._PREFIX.unpack_from(raw)
         start = ckpt._PREFIX.size
         bad = str(tmp_path / "bad.hqic")
@@ -614,7 +668,7 @@ class TestCLI:
     def test_misshaped_buffer_checkpoint_exit_code(self, run, data_dir, tmp_path, capsys):
         # A buffer entry with another shape and dtype but the same byte
         # count loads, and restoring it is refused.
-        raw = open(run.last_path, "rb").read()
+        raw = Path(run.last_path).read_bytes()
         magic, version, head_len = ckpt._PREFIX.unpack_from(raw)
         start = ckpt._PREFIX.size
         header = json.loads(raw[start:start + head_len])
@@ -661,8 +715,8 @@ class TestCLI:
         assert main(["generate", "--config", cfg_path, "--out",
                      str(tmp_path / "d3"), "--seed", "6"]) == 0
         capsys.readouterr()
-        a = open(tmp_path / "d1" / "train" / "p000_low.hqiv", "rb").read()
-        b = open(tmp_path / "d2" / "train" / "p000_low.hqiv", "rb").read()
-        c = open(tmp_path / "d3" / "train" / "p000_low.hqiv", "rb").read()
+        a = (tmp_path / "d1" / "train" / "p000_low.hqiv").read_bytes()
+        b = (tmp_path / "d2" / "train" / "p000_low.hqiv").read_bytes()
+        c = (tmp_path / "d3" / "train" / "p000_low.hqiv").read_bytes()
         assert a == b
         assert a != c

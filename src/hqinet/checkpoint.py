@@ -15,7 +15,7 @@ import struct
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .volume_io import atomic_write
 
 __all__ = [
@@ -39,7 +39,7 @@ _HEADER_KEYS = ("config", "epoch", "step", "best_val", "rng", "adam", "params",
                 "buffers")
 
 
-class CheckpointError(Exception):
+class CheckpointError(DataError):
     """Base for malformed or incompatible checkpoints."""
 
 

@@ -9,12 +9,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .checkpoint import CheckpointError
 from .dataset import generate_dataset
 from .errors import ConfigError, DataError, NumericError
 from .runconfig import RunConfig
 from .trainer import evaluate, reconstruct, train
-from .volume_io import VolumeFormatError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -105,7 +103,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, VolumeFormatError, CheckpointError, OSError) as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericError as exc:

@@ -8,7 +8,8 @@ class ConfigError(Exception):
 
 
 class DataError(Exception):
-    """Missing, malformed, or mismatched data on disk (exit code 3)."""
+    """Missing, malformed, or mismatched data on disk (exit code 3); the
+    volume and checkpoint format errors subclass it."""
 
 
 class NumericError(Exception):

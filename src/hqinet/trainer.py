@@ -55,21 +55,26 @@ def _grad_norm(model):
     return math.sqrt(total)
 
 
-def _validation_loss(model, triplets, config: RunConfig):
+def _predict(model, inputs, batch_size):
+    """The model's (b, 1, h, w) outputs in eval mode for ``inputs``, a list
+    of equal-size (3, h, w) arrays, one array per ``batch_size`` chunk."""
+    _check_slice_size(*inputs[0].shape[1:])
     model.eval()
-    total = 0.0
-    count = 0
-    bs = config.batch_size
     with T.no_grad():
-        for start in range(0, len(triplets), bs):
-            chunk = triplets[start:start + bs]
-            x, y = stack_batch(chunk)
-            loss = loss_terms(model(Tensor(x)), Tensor(y),
-                              config.loss_weights, config.ssim)[0]
-            total += float(loss.data) * len(chunk)
-            count += len(chunk)
-    model.train()
-    return total / count
+        return [model(Tensor(np.stack(inputs[start:start + batch_size]))).data
+                for start in range(0, len(inputs), batch_size)]
+
+
+def _validation_loss(model, triplets, config: RunConfig):
+    bs = config.batch_size
+    total = 0.0
+    preds = _predict(model, [t.input for t in triplets], bs)
+    for start, pred in zip(range(0, len(triplets), bs), preds):
+        chunk = triplets[start:start + bs]
+        y = np.stack([t.target for t in chunk])
+        loss = loss_terms(Tensor(pred), Tensor(y), config.loss_weights, config.ssim)[0]
+        total += float(loss.data) * len(chunk)
+    return total / len(triplets)
 
 
 def _kept_rows(path, keep_below):
@@ -83,12 +88,6 @@ def _kept_rows(path, keep_below):
         return "".join(r + "\n" for r in rows if int(r.split(",", 1)[0]) < keep_below)
     except ValueError as exc:
         raise DataError(f"cannot resume from log {path}: {exc}") from exc
-
-
-def _open_log(path, header, rows):
-    f = open(path, "w")
-    f.write(header + "\n" + rows)
-    return f
 
 
 def _check_slice_size(h, w):
@@ -128,6 +127,9 @@ def train(config: RunConfig, resume=None, triplets=None, val_triplets=None) -> T
     smallest = min([min(s) for s in uncropped] + ([crop] if crop else []))
     if config.ssim.window_size > smallest:
         raise ConfigError(f"ssim window_size {config.ssim.window_size} exceeds {smallest}px maps")
+    # Validation and uncropped training batches stack slices across patients.
+    if len(uncropped) > 1:
+        raise DataError(f"slices of sizes {sorted(uncropped)} cannot share a batch")
 
     model = build_model(config.model, seed=config.seed)
     optimizer = Adam(list(model.named_parameters()), lr=config.optimizer.lr,
@@ -159,15 +161,14 @@ def train(config: RunConfig, resume=None, triplets=None, val_triplets=None) -> T
         # uninterrupted run's would. Both are read before either is rewritten.
         loss_rows = _kept_rows(log_path, step + 1)
         val_rows = _kept_rows(val_log_path, start_epoch)
-    log_file = _open_log(log_path, LOG_HEADER, loss_rows)
-    val_log = _open_log(val_log_path, VAL_LOG_HEADER, val_rows)
-
-    best_path = os.path.join(out_dir, "best.hqic")
-    last_path = os.path.join(out_dir, "last.hqic")
-    strict = config.strict_determinism
-    model.train()
-    try:
+    # Append mode leaves both logs as they were until both are open.
+    with open(log_path, "a") as log_file, open(val_log_path, "a") as val_log:
+        for f, text in ((log_file, LOG_HEADER + "\n" + loss_rows),
+                        (val_log, VAL_LOG_HEADER + "\n" + val_rows)):
+            f.truncate(0)
+            f.write(text)
         for epoch in range(start_epoch, config.epochs):
+            model.train()
             order = rng.permutation(len(triplets))
             for start in range(0, len(order), config.batch_size):
                 chunk = [triplets[i] for i in order[start:start + config.batch_size]]
@@ -188,7 +189,7 @@ def train(config: RunConfig, resume=None, triplets=None, val_triplets=None) -> T
                         f"grad_norm={_grad_norm(model)}")
                 optimizer.step()
                 step += 1
-                wall = 0.0 if strict else time.perf_counter() - t0
+                wall = 0.0 if config.strict_determinism else time.perf_counter() - t0
                 log_file.write(
                     f"{step},{epoch},{loss_val!r},{float(l1_part.data)!r},"
                     f"{float(ssim_part.data)!r},{wall:.3f}\n")
@@ -199,21 +200,19 @@ def train(config: RunConfig, resume=None, triplets=None, val_triplets=None) -> T
             is_best = val_triplets and val_loss < best_val
             if is_best:
                 best_val = val_loss
-            ckpt_args = dict(
-                model=model, optimizer=optimizer, config_dict=config.to_dict(),
-                epoch=epoch + 1, step=step, rng_state=rng.bit_generator.state,
-                best_val=None if math.isinf(best_val) else best_val)
-            epoch_path = os.path.join(out_dir, f"epoch_{epoch + 1:03d}.hqic")
-            save_checkpoint(epoch_path, **ckpt_args)
-            save_checkpoint(last_path, **ckpt_args)
-            if is_best:
-                save_checkpoint(best_path, **ckpt_args)
-    finally:
-        log_file.close()
-        val_log.close()
+            # last.hqic goes last: a run killed between these writes resumes
+            # from it to the files an uninterrupted run leaves.
+            names = [f"epoch_{epoch + 1:03d}.hqic"] + (["best.hqic"] if is_best else [])
+            for name in names + ["last.hqic"]:
+                save_checkpoint(os.path.join(out_dir, name), model=model, optimizer=optimizer,
+                                config_dict=config.to_dict(), epoch=epoch + 1, step=step,
+                                rng_state=rng.bit_generator.state,
+                                best_val=None if math.isinf(best_val) else best_val)
+    best_path = os.path.join(out_dir, "best.hqic")
     if math.isinf(best_val) or not os.path.exists(best_path):
         best_path = None
-    return TrainResult(log_path=log_path, best_path=best_path, last_path=last_path,
+    return TrainResult(log_path=log_path, best_path=best_path,
+                       last_path=os.path.join(out_dir, "last.hqic"),
                        epochs_run=config.epochs - start_epoch, steps=step,
                        best_val=best_val)
 
@@ -223,22 +222,13 @@ def _load_model_from_checkpoint(ckpt_path):
     config = RunConfig.from_dict(state.config)
     model = build_model(config.model)
     restore_model_state(model, state)
-    model.eval()
     return model, config, state
 
 
 def _predict_volume(model, low_volume, batch_size):
     """Model outputs for every interior slice of a low-dose volume."""
-    n, h, w = low_volume.shape
-    _check_slice_size(h, w)
-    inputs = [low_volume[i - 1:i + 2] for i in range(1, n - 1)]
-    preds = []
-    with T.no_grad():
-        for start in range(0, len(inputs), batch_size):
-            x = np.stack(inputs[start:start + batch_size]).astype(np.float32)
-            out = model(Tensor(x))
-            preds.extend(np.asarray(out.data)[:, 0])
-    return np.stack(preds)
+    inputs = [low_volume[i - 1:i + 2] for i in range(1, low_volume.shape[0] - 1)]
+    return np.concatenate(_predict(model, inputs, batch_size))[:, 0]
 
 
 def evaluate(ckpt_path, data_dir, out_dir):

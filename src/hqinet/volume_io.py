@@ -42,7 +42,7 @@ _HEADER = struct.Struct("<4sHHIII")
 _U32_MAX = 2 ** 32 - 1
 
 
-class VolumeFormatError(Exception):
+class VolumeFormatError(DataError):
     """Base for malformed volume files."""
 
 

@@ -3,13 +3,16 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hqinet
 from hqinet import checkpoint as ckpt
-from hqinet import cli
+from hqinet import cli, trainer
 from hqinet.checkpoint import (CheckpointError, CheckpointMagicError, CheckpointShapeError,
                                CheckpointTruncatedError, CheckpointVersionError,
                                check_model_config, load_checkpoint,
@@ -41,6 +44,10 @@ def make_config(data_dir, out_dir, epochs=2, seed=0, lr=1e-3, strict=True):
                      optimizer=OptimizerConfig(lr=lr),
                      data=DataConfig(root=data_dir, crop=16, synthetic=SPEC),
                      output_dir=str(out_dir), strict_determinism=strict)
+
+
+class _Killed(BaseException):
+    """Stands in for a kill: ``except Exception`` does not catch it."""
 
 
 class TestTrainLoop:
@@ -115,6 +122,39 @@ class TestTrainLoop:
             train(cfg, resume=str(run / "epoch_001.hqic"))
             for n in names:
                 assert (run / n).read_bytes() == full[n], n
+
+    @pytest.mark.parametrize("kill_after", range(3), ids=["epoch_002", "best", "last"])
+    def test_kill_after_each_save_resumes_to_uninterrupted_files(
+            self, data_dir, tmp_path, monkeypatch, kill_after):
+        def files(name):
+            return {p.name: p.read_bytes() for p in (tmp_path / name / "run").iterdir()}
+
+        def config_in(name):  # the header stores output_dir, so both runs use "run"
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            return make_config(data_dir, "run")
+
+        train(config_in("full"))
+        full = files("full")
+        assert full["best.hqic"] == full["epoch_002.hqic"]  # epoch 2 improves
+
+        cfg = config_in("killed")
+        saves = []
+        real_save = trainer.save_checkpoint
+
+        def save_then_kill(path, **kwargs):
+            real_save(path, **kwargs)
+            if kwargs["epoch"] == cfg.epochs:
+                saves.append(os.path.basename(path))
+                if len(saves) == kill_after + 1:
+                    raise _Killed(path)
+
+        monkeypatch.setattr(trainer, "save_checkpoint", save_then_kill)
+        with pytest.raises(_Killed):
+            train(cfg)
+        assert saves == ["epoch_002.hqic", "best.hqic", "last.hqic"][:kill_after + 1]
+        train(cfg, resume=os.path.join("run", "last.hqic"))
+        assert files("killed") == full
 
     def test_no_validation_split_has_no_best_checkpoint(self, data_dir, tmp_path):
         result = train(make_config(data_dir, tmp_path / "run", epochs=1), val_triplets=[])
@@ -613,6 +653,43 @@ class TestCLI:
                      "--out", str(out)]) == 3
         assert "p002: full-dose slice 2 has no positive value" in capsys.readouterr().err
         assert not (out / "report.txt").exists() and not (out / "report.json").exists()
+
+    def test_mixed_slice_sizes_are_data_error(self, run, data_dir, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        other = tmp_path / "other"
+        generate_dataset(str(other), SyntheticSpec(n_train=3, n_test=1, n_slices=4, size=48,
+                                                   n_views=24, n_detectors=71), seed=0)
+        for name in os.listdir(other / "test"):  # p003 joins p002 in the test split
+            shutil.copy(other / "test" / name, data / "test" / name)
+        run_dir = tmp_path / "run"
+        cfg = make_config(str(data), run_dir)
+        cfg.batch_size = 3  # a validation batch holds slices of both patients
+        cfg_path = str(tmp_path / "config.json")
+        cfg.to_json(cfg_path)
+        assert main(["train", "--config", cfg_path]) == 3
+        assert "slices of sizes [(32, 32), (48, 48)] cannot share a batch" in (
+            capsys.readouterr().err)
+        assert not run_dir.exists() or not any(run_dir.iterdir())
+        # eval predicts each volume on its own.
+        assert main(["eval", "--checkpoint", run.last_path, "--data", str(data),
+                     "--out", str(tmp_path / "eval")]) == 0
+        capsys.readouterr()
+
+    def test_unopenable_val_log_leaks_no_handle(self, data_dir, tmp_path):
+        run_dir = tmp_path / "run"
+        (run_dir / "val_log.csv").mkdir(parents=True)
+        log = LOG_HEADER + "\n1,0,0.5,0.1,0.4,0.000\n"
+        (run_dir / "loss_log.csv").write_text(log)
+        cfg_path = self._write_config(tmp_path, data_dir, str(run_dir))
+        src = os.path.dirname(os.path.dirname(hqinet.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+             "-m", "hqinet.cli", "train", "--config", cfg_path],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=300)
+        assert proc.returncode == 3, proc.stderr
+        assert "val_log.csv" in proc.stderr and "ResourceWarning" not in proc.stderr
+        assert (run_dir / "loss_log.csv").read_text() == log
 
     def test_patient_in_both_splits_is_data_error(self, data_dir, tmp_path, capsys):
         data = tmp_path / "data"

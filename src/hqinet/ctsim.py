@@ -9,6 +9,12 @@ arrays: ``radon`` maps an ``(n, s, s)`` image stack to an
 ``(n, n_views, n_detectors)`` stack, ``apply_low_dose`` degrades one
 ``(n_views, n_detectors)`` sinogram, and ``fbp`` maps an
 ``(m, n_views, n_detectors)`` stack to ``(m, out_size, out_size)``.
+
+``radon`` gathers only the taps that can be non-zero: those whose cell
+touches the bounding box of the stack's non-zero pixels. Per view it first
+trims the detector rows and ray steps that cannot reach that box. Its
+output is bit-identical to gathering every tap, and it rejects non-finite
+images with ValueError.
 """
 
 from __future__ import annotations
@@ -39,6 +45,11 @@ _RAY_BLOCK_TAPS = 1 << 15
 
 # Ray samples per pixel along each ray.
 _OVERSAMPLE = 2
+
+# radon skips the detector rows and ray steps whose index lies more than
+# this far outside the range that can touch the support box. Rounding in a
+# tap's position is far below one index, so every touching tap is kept.
+_TRIM_MARGIN = 1
 
 
 @dataclass
@@ -126,21 +137,96 @@ def _view_angles(n_views):
     return np.arange(n_views, dtype=np.float64) * math.pi / n_views
 
 
+def _support_box(stack):
+    """Inclusive ``(y_lo, y_hi, x_lo, x_hi)`` image bounds of the pixels whose
+    bits are non-zero in any slice (so ``-0.0`` counts), or None if none are."""
+    nz = (stack.view(np.uint64) != 0).any(axis=0)
+    ys = np.flatnonzero(nz.any(axis=1))
+    if not ys.size:
+        return None
+    xs = np.flatnonzero(nz.any(axis=0))
+    return ys[0], ys[-1], xs[0], xs[-1]
+
+
+def _index_range(lo, hi, origin, spacing, n):
+    """Half-open range of the indices k in [0, n) whose coordinate
+    origin + k * spacing lies within _TRIM_MARGIN indices of [lo, hi]."""
+    k_lo = math.floor((lo - origin) / spacing) - _TRIM_MARGIN
+    k_hi = math.ceil((hi - origin) / spacing) + _TRIM_MARGIN + 1
+    return max(0, k_lo), min(n, k_hi)
+
+
+def _bilinear(corners, corner, fx, fy, gx, gy, vals, term):
+    """One slice's taps p00*(1-fy)*(1-fx) + p01*(1-fy)*fx + p10*fy*(1-fx) +
+    p11*fy*fx, products and sums in that order, written into vals.
+
+    The corner indices are already in range; take's "wrap" mode writes
+    straight into the buffer, where "raise" would copy.
+    """
+    p00, p01, p10, p11 = corners
+    np.take(p00, corner, out=vals, mode="wrap")
+    vals *= gy
+    vals *= gx
+    for p, wy, wx in ((p01, gy, fx), (p10, fy, gx), (p11, fy, fx)):
+        np.take(p, corner, out=term, mode="wrap")
+        term *= wy
+        term *= wx
+        vals += term
+    return vals
+
+
+def _ray_cells(tb, ray, center, ct, st):
+    """Positions (px, py) in the padded frame of the taps at detector
+    offsets tb (a column) and ray positions ray (a row), and their cells
+    (x0, y0); px/py carry the +1 shift into the zero-padded frame."""
+    px = center + 1.0 + tb * ct - ray * st
+    py = center + 1.0 + tb * st + ray * ct
+    return px, py, np.floor(px).astype(np.int64), np.floor(py).astype(np.int64)
+
+
 def radon(images, n_views, n_detectors):
     """Parallel-beam forward projection of an ``(n, s, s)`` image stack.
 
     Each view rotates the sampling grid and sums bilinearly interpolated
     values along rays at _OVERSAMPLE steps per pixel (Joseph's ray-driven
-    method). A view's ray geometry (corner indices, weights, inside mask)
-    depends only on the geometry, so it is built once and applied to
-    every slice. Returns the ``(n, n_views, n_detectors)`` sinograms.
+    method). A view's ray geometry is built once and applied to every
+    slice. Returns the ``(n, n_views, n_detectors)`` sinograms.
+
+    Only taps that can be non-zero are gathered. The support box is the
+    bounding box of the pixels whose bits are non-zero in any slice, so a
+    ``-0.0`` pixel counts. Per view, the detector rows and ray steps more
+    than _TRIM_MARGIN indices outside the ranges that can reach the box
+    are skipped before any geometry is built. Of the rest, only the taps
+    whose cell touches the box are gathered; all of them lie inside the
+    padded frame, so they need no clipping. Each slice's taps are written
+    into a zeroed full-width block of rows, so every row sums over all its
+    steps in numpy's pairwise order.
+
+    The result is bit-identical to gathering every tap: a skipped tap
+    inside the frame has four ``+0`` corners and finite weights >= 0, so
+    its term is ``+0``, and adding ``+0`` changes no sum. A tap outside the
+    frame reads clipped border pixels times 0, which is ``-0`` where the
+    border is negative, and such a term can change only the sign of a row
+    that sums to zero. So when any pixel has its sign bit set, every row
+    that sums to zero is recomputed over the full ray with clipping (under
+    numpy 2.4, whose sums start from ``+0``, this changes no row). Non-finite
+    pixels raise ValueError, since 0 times them is not 0.
     """
     stack = np.asarray(images, dtype=np.float64)
     if stack.ndim != 3 or stack.shape[0] < 1 or stack.shape[1] != stack.shape[2]:
         raise ValueError(f"images must be a non-empty (n, s, s) stack, got {stack.shape}")
     if n_views < 1 or n_detectors < 1:
         raise ValueError("n_views and n_detectors must be >= 1")
+    if not np.isfinite(stack).all():
+        raise ValueError("images must be finite")
     n, s = stack.shape[0], stack.shape[1]
+    data = np.zeros((n, n_views, n_detectors), dtype=np.float64)
+    box = _support_box(stack)
+    if box is None:
+        return data
+    # Cells (y0, x0) of the padded frame that touch the box: a cell's four
+    # corners are pixels (y0..y0+1, x0..x0+1), and image pixel y is pad row y+1.
+    y_lo, y_hi, x_lo, x_hi = box[0], box[1] + 1, box[2], box[3] + 1
     w = s + 2
     pad = np.zeros((n, w, w), dtype=np.float64)
     pad[:, 1:-1, 1:-1] = stack
@@ -154,43 +240,74 @@ def radon(images, n_views, n_detectors):
     half_len = s * math.sqrt(2.0) / 2.0
     n_steps = int(math.ceil(2.0 * half_len / step)) + 1
     ray = -half_len + step * np.arange(n_steps, dtype=np.float64)
-    data = np.empty((n, n_views, n_detectors), dtype=np.float64)
+    # Bounds of the positions (px, py) of touching taps, relative to the
+    # padded frame's center at center + 1.
+    box_x = (x_lo - center - 1.0, x_hi - center)
+    box_y = (y_lo - center - 1.0, y_hi - center)
     rows = max(1, _RAY_BLOCK_TAPS // n_steps)
-    vals_buf = np.empty((rows, n_steps), dtype=np.float64)
+    row_buf = np.empty((rows, n_steps), dtype=np.float64)
+    vals_buf = np.empty(rows * n_steps, dtype=np.float64)
     term_buf = np.empty_like(vals_buf)
+    signed = bool(np.signbit(stack).any())
     for v, theta in enumerate(_view_angles(n_views)):
         ct, st = math.cos(theta), math.sin(theta)
-        for r0 in range(0, n_detectors, rows):
-            tb = t[r0:r0 + rows, None]
-            vals = vals_buf[:tb.shape[0]]
-            term = term_buf[:tb.shape[0]]
-            # px/py carry the +1 shift into the zero-padded frame.
-            px = center + 1.0 + tb * ct - ray[None, :] * st
-            py = center + 1.0 + tb * st + ray[None, :] * ct
-            x0 = np.floor(px).astype(np.int64)
-            y0 = np.floor(py).astype(np.int64)
-            inside = ((x0 >= 0) & (x0 <= s) & (y0 >= 0) & (y0 <= s)).astype(np.float64)
-            corner = np.clip(y0, 0, s) * w + np.clip(x0, 0, s)
-            fx = px - x0
-            fy = py - y0
+        # A tap at detector offset tk and ray position rj sits at
+        # (px, py) = (tk*ct - rj*st, tk*st + rj*ct) about the center.
+        tk = [bx * ct + by * st for bx in box_x for by in box_y]
+        rj = [by * ct - bx * st for bx in box_x for by in box_y]
+        k_lo, k_hi = _index_range(min(tk), max(tk), t[0], 1.0, n_detectors)
+        j_lo, j_hi = _index_range(min(rj), max(rj), ray[0], step, n_steps)
+        ray_v = ray[None, j_lo:j_hi]
+        for r0 in range(k_lo, k_hi, rows):
+            tb = t[r0:min(r0 + rows, k_hi), None]
+            px, py, x0, y0 = _ray_cells(tb, ray_v, center, ct, st)
+            sel = np.flatnonzero((x0 >= x_lo) & (x0 <= x_hi) & (y0 >= y_lo) & (y0 <= y_hi))
+            if not sel.size:
+                continue
+            x0 = x0.reshape(-1)[sel]
+            y0 = y0.reshape(-1)[sel]
+            fx = px.reshape(-1)[sel] - x0
+            fy = py.reshape(-1)[sel] - y0
             gx = 1 - fx
             gy = 1 - fy
-            # Per slice, the same products and sums in the same order as
-            # p00*(1-fy)*(1-fx) + p01*(1-fy)*fx + p10*fy*(1-fx) + p11*fy*fx.
-            # The corner indices are already in range; take's "wrap" mode
-            # writes straight into the buffer, where "raise" would copy.
-            for i, (p00, p01, p10, p11) in enumerate(corners):
-                np.take(p00, corner, out=vals, mode="wrap")
-                vals *= gy
-                vals *= gx
-                for p, wy, wx in ((p01, gy, fx), (p10, fy, gx), (p11, fy, fx)):
-                    np.take(p, corner, out=term, mode="wrap")
-                    term *= wy
-                    term *= wx
-                    vals += term
-                vals *= inside
-                data[i, v, r0:r0 + rows] = vals.sum(axis=1) * step
+            corner = y0 * w + x0
+            # Each tap's place in a full-width block of rows.
+            pos = sel // ray_v.size * n_steps + sel % ray_v.size + j_lo
+            block = row_buf[:tb.shape[0]]
+            block.fill(0.0)
+            flat_block = block.reshape(-1)
+            vals = vals_buf[:sel.size]
+            term = term_buf[:sel.size]
+            for i, slice_corners in enumerate(corners):
+                flat_block[pos] = _bilinear(slice_corners, corner, fx, fy, gx, gy, vals, term)
+                data[i, v, r0:r0 + tb.shape[0]] = block.sum(axis=1) * step
+        if signed:
+            _resum_zero_rows(data[:, v], corners, t, ray, center, ct, st, s, step)
     return data
+
+
+def _resum_zero_rows(sinos, corners, t, ray, center, ct, st, s, step):
+    """Recompute over the full ray, with clipping, each detector row of one
+    view's ``(n, n_detectors)`` sinograms that sums to zero in any slice:
+    taps outside the padded frame read clipped border pixels and are
+    multiplied by 0, as when every tap is gathered."""
+    ks = np.flatnonzero((sinos == 0.0).any(axis=0))
+    rows = max(1, _RAY_BLOCK_TAPS // ray.size)
+    for r0 in range(0, ks.size, rows):
+        k = ks[r0:r0 + rows]
+        px, py, x0, y0 = _ray_cells(t[k, None], ray[None, :], center, ct, st)
+        inside = ((x0 >= 0) & (x0 <= s) & (y0 >= 0) & (y0 <= s)).astype(np.float64)
+        corner = np.clip(y0, 0, s) * (s + 2) + np.clip(x0, 0, s)
+        fx = px - x0
+        fy = py - y0
+        gx = 1 - fx
+        gy = 1 - fy
+        vals = np.empty_like(px)
+        term = np.empty_like(px)
+        for i, slice_corners in enumerate(corners):
+            _bilinear(slice_corners, corner, fx, fy, gx, gy, vals, term)
+            vals *= inside
+            sinos[i, k] = vals.sum(axis=1) * step
 
 
 def apply_low_dose(sino, i0, seed):
@@ -267,6 +384,7 @@ def fbp(sinos, out_size):
         idx = np.floor(tcoord).astype(np.int64)
         frac = tcoord - idx
         invalid = (idx < 0) | (idx > nd - 2)
+        any_invalid = invalid.any()
         idxc = np.clip(idx, 0, nd - 2)
         idxc1 = idxc + 1
         gfrac = 1 - frac
@@ -280,7 +398,8 @@ def fbp(sinos, out_size):
             np.take(view, idxc1, out=hi, mode="wrap")
             hi *= frac
             lo += hi
-            lo[invalid] = 0.0
+            if any_invalid:
+                lo[invalid] = 0.0
             recon[j] += lo
     recon *= math.pi / nv
     np.clip(recon, 0.0, 1.5, out=recon)

@@ -106,10 +106,12 @@ def generate_patient_pair(spec: SyntheticSpec, seed, patient_index):
         np.stack([ph.image for ph in generate_phantom_volume(
             [seed, patient_index], spec.n_slices, spec.size, spec.n_ellipses_range)]),
         spec.n_views, spec.n_detectors)
-    low = fbp(np.stack([apply_low_dose(sino, spec.low_i0, [seed, patient_index, si, 0])
-                        for si, sino in enumerate(sinos)]), spec.size)
-    full = fbp(np.stack([apply_low_dose(sino, spec.full_i0, [seed, patient_index, si, 1])
-                         for si, sino in enumerate(sinos)]), spec.size)
+    # Both doses reconstruct as one stack: the low-dose slices, then the
+    # full-dose ones.
+    low, full = np.split(fbp(np.stack([
+        apply_low_dose(sino, i0, [seed, patient_index, si, dose])
+        for dose, i0 in enumerate((spec.low_i0, spec.full_i0))
+        for si, sino in enumerate(sinos)]), spec.size), 2)
     norm = float(full.max())
     if norm > 0:
         low /= norm

@@ -20,6 +20,7 @@ Conventions:
 from __future__ import annotations
 
 import functools
+import threading
 
 import numpy as np
 
@@ -48,7 +49,15 @@ __all__ = [
     "mul_broadcast",
 ]
 
-_GRAD_ENABLED = True
+
+class _GradMode(threading.local):
+    """Whether ops record the graph, per thread: each thread starts with
+    recording on, and its no_grad blocks touch no other thread's flag."""
+
+    enabled = True
+
+
+_GRAD_MODE = _GradMode()
 
 # conv2d accumulates its taps into bands of output rows whose input and
 # output rows take about this many bytes per sample, so a band stays in cache.
@@ -59,15 +68,18 @@ class no_grad:
     """Context manager that suspends graph recording."""
 
     def __enter__(self):
-        global _GRAD_ENABLED
-        self._prev = _GRAD_ENABLED
-        _GRAD_ENABLED = False
+        self._prev = _grad_enabled()
+        _GRAD_MODE.enabled = False
         return self
 
     def __exit__(self, *exc):
-        global _GRAD_ENABLED
-        _GRAD_ENABLED = self._prev
+        _GRAD_MODE.enabled = self._prev
         return False
+
+
+def _grad_enabled():
+    """Whether ops in the calling thread record the graph."""
+    return _GRAD_MODE.enabled
 
 
 class Tensor:
@@ -152,7 +164,7 @@ def _as_tensor(x):
 def _make(data, parents, backward_fn):
     """Wrap an op result, recording the graph only when it can matter."""
     out = Tensor(data)
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    if _grad_enabled() and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward_fn

@@ -127,6 +127,11 @@ class TestRadon:
             radon(np.zeros((1, 16, 16)), 0, 31)
         with pytest.raises(ValueError):
             radon(np.zeros((1, 16, 16)), 4, 0)
+        for bad in (np.nan, np.inf, -np.inf):
+            stack = np.zeros((2, 16, 16))
+            stack[1, 5, 9] = bad
+            with pytest.raises(ValueError):
+                radon(stack, 4, 31)
 
     def test_stack_returns_one_sinogram_per_slice(self):
         sinos = radon(np.zeros((3, 16, 16)), 4, 31)
@@ -272,6 +277,63 @@ class TestStackedAgainstOracle:
             recon = fbp(noisy, out_size)
             for got, sino in zip(recon, noisy):
                 assert self.same_bits(got, fbp_naive(sino, out_size))
+
+    def assert_radon_matches(self, stack, n_views, n_det):
+        sinos = radon(stack, n_views, n_det)
+        for got, img in zip(sinos, stack):
+            assert self.same_bits(got, radon_naive(img, n_views, n_det))
+
+    # radon gathers only the taps whose cell touches the stack's support
+    # box; these stacks put that box in every corner, along every edge,
+    # off the centre, nowhere, and on a negative border.
+    @pytest.mark.parametrize("coverage", [0.75, 1.0])
+    @pytest.mark.parametrize("n_views", [1, 7, 24])
+    @pytest.mark.parametrize("size", [32, 33, 40])
+    def test_radon_single_pixel_support(self, size, n_views, coverage):
+        n_det = int(1.5 * size * coverage) | 1
+        for y in (0, size // 2, size - 1):
+            for x in (0, size // 2, size - 1):
+                stack = np.zeros((1, size, size))
+                stack[0, y, x] = 0.7
+                self.assert_radon_matches(stack, n_views, n_det)
+
+    @pytest.mark.parametrize("coverage", [0.75, 1.0])
+    @pytest.mark.parametrize("n_views", [1, 7, 24])
+    @pytest.mark.parametrize("size", [32, 33, 40])
+    def test_radon_off_centre_boxes_and_negative_zeros(self, size, n_views, coverage):
+        rng = np.random.default_rng([size, n_views, 2])
+        n_det = int(1.5 * size * coverage) | 1
+        stack = np.zeros((3, size, size))
+        for box in (stack[0, 2:9, size // 2:size - 3], stack[1, size - 6:size - 1, 4:11]):
+            box[...] = rng.uniform(0.0, 1.0, size=box.shape)
+        self.assert_radon_matches(stack[:2], n_views, n_det)
+        # a -0.0 pixel is support: it widens the box and sets a sign bit
+        stack[2, 1, 1] = stack[2, size - 3, size // 3] = -0.0
+        self.assert_radon_matches(stack, n_views, n_det)
+        self.assert_radon_matches(stack[2:], n_views, n_det)
+
+    @pytest.mark.parametrize("n_views", [1, 7, 24])
+    @pytest.mark.parametrize("size", [32, 33, 40])
+    def test_radon_all_zero_stack(self, size, n_views):
+        self.assert_radon_matches(np.zeros((2, size, size)), n_views, int(1.5 * size) | 1)
+
+    # Taps outside the padded frame read clipped border pixels times 0, so
+    # with a negative border their terms are -0 and radon re-sums every
+    # detector row that sums to zero over the full ray.
+    @pytest.mark.parametrize("n_views", [1, 7, 24])
+    @pytest.mark.parametrize("size", [32, 33, 40])
+    def test_radon_negative_border_ring(self, size, n_views):
+        rng = np.random.default_rng([size, n_views, 3])
+        stack = rng.uniform(0.0, 1.0, size=(2, size, size))
+        stack[:, 1:-1, 1:-1] *= 0.5
+        stack[:, [0, -1], :] *= -1.0
+        stack[:, :, [0, -1]] = -np.abs(stack[:, :, [0, -1]])
+        self.assert_radon_matches(stack, n_views, int(1.5 * size) | 1)
+
+    def test_radon_default_geometry_phantom(self):
+        spec = SyntheticSpec()
+        image = generate_phantom_volume([1, 0], 1, spec.size)[0].image
+        self.assert_radon_matches(image[None], spec.n_views, spec.n_detectors)
 
 
 class TestTriplets:

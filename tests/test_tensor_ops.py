@@ -1,6 +1,8 @@
 """Differentiable op semantics: forward values against naive oracles,
 backward passes against central finite differences."""
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -120,6 +122,34 @@ class TestReductionsAndShape:
         with T.no_grad():
             out = T.mul(a, a)
         assert not out.requires_grad
+
+    def test_no_grad_is_per_thread(self):
+        a = leaf((2,), 11)
+        errors = []
+
+        def enter_and_leave():
+            for _ in range(200):
+                with T.no_grad():
+                    if T._grad_enabled() or T.mul(a, a).requires_grad:
+                        errors.append("graph recorded under no_grad")
+                if not T._grad_enabled():
+                    errors.append("flag left off after no_grad")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=enter_and_leave) for _ in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert errors == []
+        assert T._grad_enabled()
+        out = T.mul(a, a)
+        assert out.requires_grad and out._backward is not None
 
 
 class TestConv2d:

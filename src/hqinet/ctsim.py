@@ -175,15 +175,6 @@ def _bilinear(corners, corner, fx, fy, gx, gy, vals, term):
     return vals
 
 
-def _ray_cells(tb, ray, center, ct, st):
-    """Positions (px, py) in the padded frame of the taps at detector
-    offsets tb (a column) and ray positions ray (a row), and their cells
-    (x0, y0); px/py carry the +1 shift into the zero-padded frame."""
-    px = center + 1.0 + tb * ct - ray * st
-    py = center + 1.0 + tb * st + ray * ct
-    return px, py, np.floor(px).astype(np.int64), np.floor(py).astype(np.int64)
-
-
 def radon(images, n_views, n_detectors):
     """Parallel-beam forward projection of an ``(n, s, s)`` image stack.
 
@@ -206,10 +197,9 @@ def radon(images, n_views, n_detectors):
     inside the frame has four ``+0`` corners and finite weights >= 0, so
     its term is ``+0``, and adding ``+0`` changes no sum. A tap outside the
     frame reads clipped border pixels times 0, which is ``-0`` where the
-    border is negative, and such a term can change only the sign of a row
-    that sums to zero. So when any pixel has its sign bit set, every row
-    that sums to zero is recomputed over the full ray with clipping (under
-    numpy 2.4, whose sums start from ``+0``, this changes no row). Non-finite
+    border is negative; such a term could change only the sign of a row
+    that sums to zero, and every zero row comes out ``+0`` either way,
+    because numpy's float sum starts from the identity ``+0``. Non-finite
     pixels raise ValueError, since 0 times them is not 0.
     """
     stack = np.asarray(images, dtype=np.float64)
@@ -248,7 +238,6 @@ def radon(images, n_views, n_detectors):
     row_buf = np.empty((rows, n_steps), dtype=np.float64)
     vals_buf = np.empty(rows * n_steps, dtype=np.float64)
     term_buf = np.empty_like(vals_buf)
-    signed = bool(np.signbit(stack).any())
     for v, theta in enumerate(_view_angles(n_views)):
         ct, st = math.cos(theta), math.sin(theta)
         # A tap at detector offset tk and ray position rj sits at
@@ -260,7 +249,11 @@ def radon(images, n_views, n_detectors):
         ray_v = ray[None, j_lo:j_hi]
         for r0 in range(k_lo, k_hi, rows):
             tb = t[r0:min(r0 + rows, k_hi), None]
-            px, py, x0, y0 = _ray_cells(tb, ray_v, center, ct, st)
+            # px/py carry the +1 shift into the zero-padded frame.
+            px = center + 1.0 + tb * ct - ray_v * st
+            py = center + 1.0 + tb * st + ray_v * ct
+            x0 = np.floor(px).astype(np.int64)
+            y0 = np.floor(py).astype(np.int64)
             sel = np.flatnonzero((x0 >= x_lo) & (x0 <= x_hi) & (y0 >= y_lo) & (y0 <= y_hi))
             if not sel.size:
                 continue
@@ -281,33 +274,7 @@ def radon(images, n_views, n_detectors):
             for i, slice_corners in enumerate(corners):
                 flat_block[pos] = _bilinear(slice_corners, corner, fx, fy, gx, gy, vals, term)
                 data[i, v, r0:r0 + tb.shape[0]] = block.sum(axis=1) * step
-        if signed:
-            _resum_zero_rows(data[:, v], corners, t, ray, center, ct, st, s, step)
     return data
-
-
-def _resum_zero_rows(sinos, corners, t, ray, center, ct, st, s, step):
-    """Recompute over the full ray, with clipping, each detector row of one
-    view's ``(n, n_detectors)`` sinograms that sums to zero in any slice:
-    taps outside the padded frame read clipped border pixels and are
-    multiplied by 0, as when every tap is gathered."""
-    ks = np.flatnonzero((sinos == 0.0).any(axis=0))
-    rows = max(1, _RAY_BLOCK_TAPS // ray.size)
-    for r0 in range(0, ks.size, rows):
-        k = ks[r0:r0 + rows]
-        px, py, x0, y0 = _ray_cells(t[k, None], ray[None, :], center, ct, st)
-        inside = ((x0 >= 0) & (x0 <= s) & (y0 >= 0) & (y0 <= s)).astype(np.float64)
-        corner = np.clip(y0, 0, s) * (s + 2) + np.clip(x0, 0, s)
-        fx = px - x0
-        fy = py - y0
-        gx = 1 - fx
-        gy = 1 - fy
-        vals = np.empty_like(px)
-        term = np.empty_like(px)
-        for i, slice_corners in enumerate(corners):
-            _bilinear(slice_corners, corner, fx, fy, gx, gy, vals, term)
-            vals *= inside
-            sinos[i, k] = vals.sum(axis=1) * step
 
 
 def apply_low_dose(sino, i0, seed):

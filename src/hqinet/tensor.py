@@ -65,21 +65,21 @@ _BAND_BYTES = 1 << 18
 
 
 class no_grad:
-    """Context manager that suspends graph recording."""
+    """Context manager that suspends graph recording in the calling thread.
+
+    The flag does not pass to threads started inside the block: each new
+    thread starts with recording on, so a worker that should record no
+    graph must enter no_grad itself.
+    """
 
     def __enter__(self):
-        self._prev = _grad_enabled()
+        self._prev = _GRAD_MODE.enabled
         _GRAD_MODE.enabled = False
         return self
 
     def __exit__(self, *exc):
         _GRAD_MODE.enabled = self._prev
         return False
-
-
-def _grad_enabled():
-    """Whether ops in the calling thread record the graph."""
-    return _GRAD_MODE.enabled
 
 
 class Tensor:
@@ -164,7 +164,7 @@ def _as_tensor(x):
 def _make(data, parents, backward_fn):
     """Wrap an op result, recording the graph only when it can matter."""
     out = Tensor(data)
-    if _grad_enabled() and any(p.requires_grad for p in parents):
+    if _GRAD_MODE.enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward_fn

@@ -318,8 +318,8 @@ class TestStackedAgainstOracle:
         self.assert_radon_matches(np.zeros((2, size, size)), n_views, int(1.5 * size) | 1)
 
     # Taps outside the padded frame read clipped border pixels times 0, so
-    # with a negative border their terms are -0 and radon re-sums every
-    # detector row that sums to zero over the full ray.
+    # with a negative border their terms are -0; radon skips them, and a
+    # row that sums to zero must still come out with the oracle's sign.
     @pytest.mark.parametrize("n_views", [1, 7, 24])
     @pytest.mark.parametrize("size", [32, 33, 40])
     def test_radon_negative_border_ring(self, size, n_views):

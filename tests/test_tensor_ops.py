@@ -130,9 +130,9 @@ class TestReductionsAndShape:
         def enter_and_leave():
             for _ in range(200):
                 with T.no_grad():
-                    if T._grad_enabled() or T.mul(a, a).requires_grad:
+                    if T._GRAD_MODE.enabled or T.mul(a, a).requires_grad:
                         errors.append("graph recorded under no_grad")
-                if not T._grad_enabled():
+                if not T._GRAD_MODE.enabled:
                     errors.append("flag left off after no_grad")
 
         interval = sys.getswitchinterval()
@@ -147,7 +147,7 @@ class TestReductionsAndShape:
             sys.setswitchinterval(interval)
         assert not any(th.is_alive() for th in threads)
         assert errors == []
-        assert T._grad_enabled()
+        assert T._GRAD_MODE.enabled
         out = T.mul(a, a)
         assert out.requires_grad and out._backward is not None
 

@@ -237,7 +237,7 @@ class ASPP(Module):
             branches.append(T.relu(pw(dw(x))))
         pooled = T.relu(self.pool_conv(T.global_avg_pool(x)))
         branches.append(T.bilinear_upsample(pooled, h, w))
-        return T.relu(self.project(T.concat_channels(*branches)))
+        return T.relu(self.project(T.ChannelParts(*branches)))
 
 
 class DecoderBlock(Module):
@@ -257,8 +257,7 @@ class DecoderBlock(Module):
                 f"decoder map {dh}x{dw} upsamples to {2*dh}x{2*dw}, "
                 f"which does not match skip {sh}x{sw}")
         up = T.bilinear_upsample(dec, sh, sw)
-        cat = T.concat_channels(up, self.proj(skip))
-        return self.refine2(self.refine1(cat))
+        return self.refine2(self.refine1(T.ChannelParts(up, self.proj(skip))))
 
 
 class ReconstructionHead(Module):
@@ -272,7 +271,7 @@ class ReconstructionHead(Module):
 
     def forward(self, decoder_outputs, target_h, target_w):
         ups = [T.bilinear_upsample(d, target_h, target_w) for d in decoder_outputs]
-        return self.out(self.fuse(T.concat_channels(*ups)))
+        return self.out(self.fuse(T.ChannelParts(*ups)))
 
 
 class HQINet(Module):

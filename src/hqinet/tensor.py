@@ -46,6 +46,7 @@ __all__ = [
     "bilinear_upsample",
     "global_avg_pool",
     "concat_channels",
+    "ChannelParts",
     "mul_broadcast",
 ]
 
@@ -347,19 +348,21 @@ def conv_output_size(size, kernel, stride, dilation, padding):
 def conv2d(x, weight, bias=None, stride=1, dilation=1, groups=1, zero_padding=0):
     """2-D cross-correlation over ``(n, c, h, w)`` input.
 
-    ``weight`` has shape ``(c_out, c_in // groups, k, k)``. A direct
-    convolution with no patch matrix (Zhang, Franchetti & Low, ICML 2018):
-    the input is zero-padded once into a flat buffer per stride phase, in
-    which each tap is one contiguous slice and one batched matmul,
-    accumulated into bands of output rows that are ``wq`` wide. The
-    backward pass runs the same taps transposed and keeps only the buffer.
+    ``x`` is a tensor or a ``ChannelParts``, read as the concatenation of
+    its parts. ``weight`` has shape ``(c_out, c_in // groups, k, k)``. A
+    direct convolution with no patch matrix (Zhang, Franchetti & Low, ICML
+    2018): each band of output rows zero-pads the input rows it reads into
+    a reused flat buffer per stride phase, in which each tap is one
+    contiguous slice and one batched matmul. An unpadded 1x1 conv of one
+    tensor reads it in place. The backward pass refills the bands from the
+    input for the weight gradient, so the graph keeps no padded copy.
     """
-    x = _as_tensor(x)
+    parts = x.parts if isinstance(x, ChannelParts) else (_as_tensor(x),)
     weight = _as_tensor(weight)
-    xd, wd = x.data, weight.data
+    wd = weight.data
 
-    if xd.ndim != 4:
-        raise ValueError(f"conv2d input must be 4-D (n,c,h,w), got {xd.ndim}-D")
+    if parts[0].data.ndim != 4:
+        raise ValueError(f"conv2d input must be 4-D (n,c,h,w), got {parts[0].data.ndim}-D")
     if wd.ndim != 4:
         raise ValueError(f"conv2d weight must be 4-D, got {wd.ndim}-D")
     if stride < 1 or dilation < 1:
@@ -367,7 +370,8 @@ def conv2d(x, weight, bias=None, stride=1, dilation=1, groups=1, zero_padding=0)
     if zero_padding < 0:
         raise ValueError(f"zero_padding must be >= 0, got {zero_padding}")
 
-    n, c_in, h, w = xd.shape
+    n, _, h0, w0 = parts[0].data.shape
+    c_in = sum(t.data.shape[1] for t in parts)
     c_out, c_in_g, kh, kw = wd.shape
     if groups < 1 or c_in % groups != 0:
         raise ValueError(f"input channels {c_in} not divisible by groups {groups}")
@@ -378,12 +382,12 @@ def conv2d(x, weight, bias=None, stride=1, dilation=1, groups=1, zero_padding=0)
             f"weight channel dim expects {c_in // groups} (c_in/groups), got {c_in_g}"
         )
 
-    oh = conv_output_size(h, kh, stride, dilation, zero_padding)
-    ow = conv_output_size(w, kw, stride, dilation, zero_padding)
+    oh = conv_output_size(h0, kh, stride, dilation, zero_padding)
+    ow = conv_output_size(w0, kw, stride, dilation, zero_padding)
     if oh < 1 or ow < 1:
         raise ValueError(
             f"kernel span {dilation * (kh - 1) + 1} exceeds padded input "
-            f"{h + 2 * zero_padding}x{w + 2 * zero_padding}"
+            f"{h0 + 2 * zero_padding}x{w0 + 2 * zero_padding}"
         )
 
     if bias is not None:
@@ -394,39 +398,60 @@ def conv2d(x, weight, bias=None, stride=1, dilation=1, groups=1, zero_padding=0)
             )
 
     g, cg, cog = groups, c_in // groups, c_out // groups
-    s, d, p = stride, dilation, zero_padding
+    s, d, p, h, w = stride, dilation, zero_padding, h0, w0
+    arrays = [t.data for t in parts]
     if kh == kw == 1 and p == 0:  # a 1x1 conv reads only every s-th pixel
-        xd, h, w, s = xd[:, :, ::s, ::s], oh, ow, 1
+        arrays = [a[:, :, ::s, ::s] for a in arrays]
+        h, w, s = oh, ow, 1
+    dtype = np.result_type(*arrays)
 
     # Stride phase (a, b) holds padded rows a, a+s, ... and columns b, b+s, ...;
     # tap (i, j) reads phase ((i*d) % s, (j*d) % s) at stride 1 from flat
-    # offset (i*d // s) * wq + j*d // s, and a spare row takes wrapped reads.
+    # offset (i*d // s) * wq + j*d // s past its band's first row, and one
+    # spare row takes wrapped reads.
     hq, wq = -(-(h + 2 * p) // s), -(-(w + 2 * p) // s)
     taps = [((i * d) % s * s + (j * d) % s, (i * d) // s * wq + (j * d) // s)
             for i in range(kh) for j in range(kw)]
-    xp = xd
-    if s > 1 or p > 0 or kw > 1:  # else there is no padding and nothing wraps
-        xp = np.zeros((n, c_in, (hq + 1) * s, wq * s), dtype=xd.dtype)
-        xp[:, :, p:p + h, p:p + w] = xd
-    xf = xp.reshape(n, g, cg, -1, s, wq, s).transpose(0, 1, 2, 4, 6, 3, 5)
-    xf = xf.reshape(n, g, cg, s * s, -1)  # a view when s == 1
+    rows = min(oh, max(1, _BAND_BYTES // ((c_in + c_out) * wq * dtype.itemsize)))
+    spans = [(r0, min(r0 + rows, oh)) for r0 in range(0, oh, rows)]
+    halo = (kh - 1) * d // s + 1  # phase rows a band reads below its last output row
+
+    def reader():
+        """A function from a band's first output row to a flat array whose
+        phase ``ph`` slice ``[off, off + len)`` is a tap's input for the band."""
+        if len(arrays) == 1 and s == 1 and p == 0 and kw == 1:  # no padding, no wrap
+            xf = arrays[0].reshape(n, g, cg, 1, -1)
+            return lambda r0: xf[..., r0 * wq:]
+        buf = np.zeros((n, c_in, (rows + halo) * s, wq * s), dtype=dtype)
+
+        def band(r0):
+            y = r0 * s - p  # the input row of the band's first padded row
+            lo = min(max(0, -y), buf.shape[2])
+            hi = max(lo, min(buf.shape[2], h - y))
+            buf[:, :, :lo] = 0  # padding rows; padding columns stay zero
+            buf[:, :, hi:] = 0
+            ch = 0
+            for a in arrays:
+                buf[:, ch:ch + a.shape[1], lo:hi, p:p + w] = a[:, :, y + lo:y + hi]
+                ch += a.shape[1]
+            xf = buf.reshape(n, g, cg, -1, s, wq, s).transpose(0, 1, 2, 4, 6, 3, 5)
+            return xf.reshape(n, g, cg, s * s, -1)  # a view when s == 1
+        return band
 
     # A depthwise tap is a per-channel scale; matmul would call BLAS per channel.
     product = np.multiply if cg == cog == 1 else np.matmul
     wt = np.ascontiguousarray(wd.reshape(g, cog, cg, kh * kw).transpose(3, 0, 1, 2))
-    rows = max(1, _BAND_BYTES // ((c_in + c_out) * wq * xd.itemsize))
-    bands = [(r0 * wq, min(r0 + rows, oh) * wq) for r0 in range(0, oh, rows)]
-    wide = np.empty((n, g, cog, oh * wq), dtype=np.result_type(wd, xd))
-    part = np.empty_like(wide[..., :bands[0][1]])
-    for lo, hi in bands:
-        dst = wide[..., lo:hi]
+    wide = np.empty((n, g, cog, oh * wq), dtype=np.result_type(wd, dtype))
+    part = np.empty_like(wide[..., :rows * wq])
+    band = reader()
+    for r0, r1 in spans:
+        src, dst, m = band(r0), wide[..., r0 * wq:r1 * wq], (r1 - r0) * wq
         for t, (ph, off) in enumerate(taps):
-            src = xf[:, :, :, ph, off + lo:off + hi]
             if t == 0:
-                product(wt[0], src, out=dst)
+                product(wt[0], src[:, :, :, ph, off:off + m], out=dst)
             else:
-                product(wt[t], src, out=part[..., :hi - lo])
-                dst += part[..., :hi - lo]
+                product(wt[t], src[:, :, :, ph, off:off + m], out=part[..., :m])
+                dst += part[..., :m]
     out = wide.reshape(n, c_out, oh, wq)[..., :ow]  # drop the wrap-around columns
     out = np.ascontiguousarray(out) if bias is None else out + bias.data.reshape(1, c_out, 1, 1)
 
@@ -437,31 +462,40 @@ def conv2d(x, weight, bias=None, stride=1, dilation=1, groups=1, zero_padding=0)
             go = np.zeros((n, c_out, oh, wq), dtype=grad.dtype)
             go[..., :ow] = grad
         go = go.reshape(n, g, cog, oh * wq)
-        gw, gxf = np.zeros(wt.shape, grad.dtype), np.zeros(xf.shape, grad.dtype)
-        gpart = np.empty((n, g, cg, bands[0][1]), dtype=grad.dtype)
-        for lo, hi in bands:
+        x_grad = any(t.requires_grad for t in parts)
+        band = reader() if weight.requires_grad else None
+        gw = np.zeros(wt.shape, grad.dtype)
+        gxf = np.zeros((n, g, cg, s * s, (hq + 1) * wq), grad.dtype) if x_grad else None
+        gpart = np.empty((n, g, cg, rows * wq), dtype=grad.dtype)
+        for r0, r1 in spans:
+            lo, hi = r0 * wq, r1 * wq
             gob = go[..., lo:hi]
+            src = band(r0) if band else None
             for t, (ph, off) in enumerate(taps):
-                if weight.requires_grad:
-                    src = xf[:, :, :, ph, off + lo:off + hi]
-                    gw[t] += np.matmul(gob, src.transpose(0, 1, 3, 2)).sum(axis=0)
-                if x.requires_grad:
+                if band:
+                    tap = src[:, :, :, ph, off:off + hi - lo]
+                    gw[t] += np.matmul(gob, tap.transpose(0, 1, 3, 2)).sum(axis=0)
+                if x_grad:
                     product(wt[t].transpose(0, 2, 1), gob, out=gpart[..., :hi - lo])
                     gxf[:, :, :, ph, off + lo:off + hi] += gpart[..., :hi - lo]
         if weight.requires_grad:
             grads.append((weight, gw.transpose(1, 2, 3, 0).reshape(wd.shape)))
-        if x.requires_grad:
+        if x_grad:
             gx = gxf.reshape(n, c_in, s, s, -1, wq).transpose(0, 1, 4, 2, 5, 3)
             gx = gx.reshape(n, c_in, -1, wq * s)[:, :, p:p + h, p:p + w]
             if s < stride:  # back onto the pixels the 1x1 conv read
-                gx, sub = np.zeros(x.data.shape, dtype=grad.dtype), gx
+                gx, sub = np.zeros((n, c_in, h0, w0), dtype=grad.dtype), gx
                 gx[:, :, ::stride, ::stride] = sub
-            grads.append((x, gx))
+            ch = 0
+            for t in parts:
+                if t.requires_grad:
+                    grads.append((t, gx[:, ch:ch + t.data.shape[1]]))
+                ch += t.data.shape[1]
         if bias is not None and bias.requires_grad:
             grads.append((bias, grad.sum(axis=(0, 2, 3))))
         return grads
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
+    parents = parts + (weight,) + (() if bias is None else (bias,))
     return _make(out, parents, bw)
 
 
@@ -545,18 +579,39 @@ def global_avg_pool(x):
     return tmean(x, axis=(2, 3), keepdims=True)
 
 
-def concat_channels(*tensors):
-    """Concatenate 4-D tensors along the channel axis."""
-    ts = [_as_tensor(t) for t in tensors]
+def _channel_parts(tensors):
+    """``tensors`` as a tuple of 4-D tensors that share ``(n, h, w)``."""
+    ts = tuple(_as_tensor(t) for t in tensors)
     if not ts:
-        raise ValueError("concat_channels needs at least one tensor")
+        raise ValueError("channel concatenation needs at least one tensor")
     first = ts[0].data.shape
-    for t in ts[1:]:
+    for t in ts:
         s = t.data.shape
         if len(s) != 4 or s[0] != first[0] or s[2:] != first[2:]:
             raise ValueError(
-                f"concat_channels expects matching (n,h,w); got {first} vs {s}"
+                f"channel concatenation expects matching (n,h,w); got {first} vs {s}"
             )
+    return ts
+
+
+class ChannelParts:
+    """Feature maps that ``conv2d`` reads as their concatenation along the
+    channel axis, without building it. ``shape`` is the concatenation's."""
+
+    __slots__ = ("parts",)
+
+    def __init__(self, *tensors):
+        self.parts = _channel_parts(tensors)
+
+    @property
+    def shape(self):
+        n, _, h, w = self.parts[0].data.shape
+        return (n, sum(t.data.shape[1] for t in self.parts), h, w)
+
+
+def concat_channels(*tensors):
+    """Concatenate 4-D tensors along the channel axis."""
+    ts = _channel_parts(tensors)
     data = np.concatenate([t.data for t in ts], axis=1)
     widths = [t.data.shape[1] for t in ts]
 
@@ -569,7 +624,7 @@ def concat_channels(*tensors):
             off += cw
         return grads
 
-    return _make(data, tuple(ts), bw)
+    return _make(data, ts, bw)
 
 
 def mul_broadcast(x, gate):

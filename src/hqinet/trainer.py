@@ -29,7 +29,7 @@ from .network import OUTPUT_STRIDE, build_model
 from .optim import Adam
 from .runconfig import RunConfig
 from .tensor import Tensor
-from .volume_io import read_manifest, read_volume, write_volume
+from .volume_io import atomic_write, read_manifest, read_volume, write_volume
 
 __all__ = ["TrainResult", "train", "evaluate", "reconstruct"]
 
@@ -55,20 +55,28 @@ def _grad_norm(model):
     return math.sqrt(total)
 
 
-def _predict(model, inputs, batch_size):
+def _predict(model, inputs, labels, batch_size):
     """The model's (b, 1, h, w) outputs in eval mode for ``inputs``, a list
-    of equal-size (3, h, w) arrays, one array per ``batch_size`` chunk."""
+    of equal-size (3, h, w) arrays, one array per ``batch_size`` chunk.
+    A non-finite output raises NumericError naming its input's label."""
     _check_slice_size(*inputs[0].shape[1:])
     model.eval()
+    preds = []
     with T.no_grad():
-        return [model(Tensor(np.stack(inputs[start:start + batch_size]))).data
-                for start in range(0, len(inputs), batch_size)]
+        for start in range(0, len(inputs), batch_size):
+            pred = model(Tensor(np.stack(inputs[start:start + batch_size]))).data
+            bad = np.flatnonzero(~np.isfinite(pred).all(axis=(1, 2, 3)))
+            if bad.size:
+                raise NumericError(f"non-finite model output for {labels[start + bad[0]]}")
+            preds.append(pred)
+    return preds
 
 
 def _validation_loss(model, triplets, config: RunConfig):
     bs = config.batch_size
     total = 0.0
-    preds = _predict(model, [t.input for t in triplets], bs)
+    preds = _predict(model, [t.input for t in triplets],
+                     [f"{t.patient_id} slice {t.slice_index}" for t in triplets], bs)
     for start, pred in zip(range(0, len(triplets), bs), preds):
         chunk = triplets[start:start + bs]
         y = np.stack([t.target for t in chunk])
@@ -225,10 +233,13 @@ def _load_model_from_checkpoint(ckpt_path):
     return model, config, state
 
 
-def _predict_volume(model, low_volume, batch_size):
-    """Model outputs for every interior slice of a low-dose volume."""
-    inputs = [low_volume[i - 1:i + 2] for i in range(1, low_volume.shape[0] - 1)]
-    return np.concatenate(_predict(model, inputs, batch_size))[:, 0]
+def _predict_volume(model, low_volume, name, batch_size):
+    """Model outputs for every interior slice of a low-dose volume; ``name``
+    labels the volume in errors."""
+    centers = range(1, low_volume.shape[0] - 1)
+    inputs = [low_volume[i - 1:i + 2] for i in centers]
+    labels = [f"{name} slice {i}" for i in centers]
+    return np.concatenate(_predict(model, inputs, labels, batch_size))[:, 0]
 
 
 def evaluate(ckpt_path, data_dir, out_dir):
@@ -245,15 +256,13 @@ def evaluate(ckpt_path, data_dir, out_dir):
         for i in range(1, low.shape[0] - 1):
             if not (full[i] > 0).any():  # no peak for PSNR, no norm for NMSE
                 raise DataError(f"{pid}: full-dose slice {i} has no positive value")
-        preds = _predict_volume(model, low, batch_size=config.batch_size)
+        preds = _predict_volume(model, low, pid, batch_size=config.batch_size)
         low_mids.extend(low[1:-1])
         full_mids.extend(full[1:-1])
         pred_mids.extend(preds)
     low_report = metrics_report(low_mids, full_mids)
     model_report = metrics_report(pred_mids, full_mids)
     table = format_table([("Low-dose", low_report), ("HQINet", model_report)])
-    with open(os.path.join(out_dir, "report.txt"), "w") as f:
-        f.write(table)
     report = {
         "low_dose": low_report.to_json_dict(),
         "model": model_report.to_json_dict(),
@@ -262,9 +271,13 @@ def evaluate(ckpt_path, data_dir, out_dir):
             "mi": model_report.mean["mi"] - low_report.mean["mi"],
         },
     }
-    with open(os.path.join(out_dir, "report.json"), "w") as f:
-        json.dump(report, f, indent=2, sort_keys=True)
-        f.write("\n")
+    try:
+        report_json = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericError(f"report has a non-finite metric: {exc}") from exc
+    for name, text in (("report.txt", table), ("report.json", report_json)):
+        with atomic_write(os.path.join(out_dir, name), "w") as f:
+            f.write(text)
     return low_report, model_report
 
 
@@ -273,7 +286,7 @@ def _write_pgm(path, image):
     img = np.clip(np.asarray(image, dtype=np.float64), 0.0, 1.0)
     data = np.round(img * 255.0).astype(np.uint8)
     h, w = data.shape
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         f.write(data.tobytes())
 
@@ -291,7 +304,7 @@ def reconstruct(ckpt_path, input_path, out_dir):
         raise DataError(
             f"{input_path} has {volume.shape[0]} slices; reconstruction needs >= 3")
     os.makedirs(out_dir, exist_ok=True)
-    preds = _predict_volume(model, volume, batch_size=config.batch_size)
+    preds = _predict_volume(model, volume, input_path, batch_size=config.batch_size)
     out = volume.copy()
     out[1:-1] = preds
     try:

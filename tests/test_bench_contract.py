@@ -1,20 +1,84 @@
-"""The benchmark's tracer wraps package attributes by name; this checks
-that every name it wraps still exists, without timing anything."""
+"""The benchmark's tracer wraps package attributes by name and reads the
+arguments of the ops it wraps; this checks that every name it wraps still
+exists and that it reads every conv a model step makes, without timing
+anything."""
 
 import importlib.util
 import os
 
+import numpy as np
+import pytest
+
+from hqinet import tensor as T
+from hqinet.losses import loss_terms
+from hqinet.network import build_model
+from hqinet.runconfig import RunConfig
+from hqinet.tensor import Tensor
+
 TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
 
 
-def test_tracer_installs_and_restores():
+def _load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    t = tracer.Tracer()
+    return tracer
+
+
+def test_tracer_installs_and_restores():
+    t = _load_tracer().Tracer()
     try:
         t.install()
     finally:
         t.restore()
     assert t.patched
     assert t.restored()
+
+
+@pytest.fixture
+def traced(monkeypatch):
+    """An installed tracer, and a list that gains one entry per conv2d call."""
+    calls = []
+    real = T.conv2d
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    # Patched first, so the tracer wraps the counter.
+    monkeypatch.setattr(T, "conv2d", counted)
+    t = _load_tracer().Tracer().install()
+    try:
+        yield t, calls
+    finally:
+        t.restore()
+
+
+def _conv_spans(tracer):
+    """How many forward and backward ``tensor.conv2d.*`` spans were recorded."""
+    names = [s[0] for s in tracer.spans if s[0].startswith("tensor.conv2d.")]
+    backward = sum(n.endswith(".bwd") for n in names)
+    return len(names) - backward, backward
+
+
+def test_every_conv_of_a_training_step_is_traced(traced):
+    tracer, calls = traced
+    cfg = RunConfig.desk()
+    model = build_model(cfg.model, seed=3)
+    rng = np.random.default_rng(4)
+    x = Tensor(rng.normal(size=(2, 3, 32, 32)).astype(np.float32))
+    y = Tensor(rng.normal(size=(2, 1, 32, 32)).astype(np.float32))
+    loss_terms(model(x), y, cfg.loss_weights, cfg.ssim)[0].backward()
+    assert calls
+    assert _conv_spans(tracer) == (len(calls), len(calls))
+    assert tracer.metrics()["tensor.graph_nodes_per_step"] > 0
+
+
+def test_every_conv_of_an_inference_forward_is_traced(traced):
+    tracer, calls = traced
+    model = build_model(RunConfig.desk().model, seed=3).eval()
+    x = Tensor(np.random.default_rng(5).normal(size=(2, 3, 32, 32)).astype(np.float32))
+    with T.no_grad():
+        model(x)
+    assert calls
+    assert _conv_spans(tracer) == (len(calls), 0)

@@ -1,6 +1,8 @@
 """Architecture wiring: shape ladder, attention gates, ASPP equivalence,
 decoder contracts, parameter census, and end-to-end gradients."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -317,7 +319,8 @@ class TestHQINet:
 
     def test_desk_training_step_graph_nodes(self):
         # One node per recorded op: 31 BatchNorm layers and SSIM at one node
-        # each, the convs, gates, upsamplings and the rest of the loss.
+        # each, the convs, gates, upsamplings and the rest of the loss. The
+        # convs read concatenated channels in place, so no concat node.
         cfg = RunConfig.desk()
         m = build_model(cfg.model, seed=7)
         x, y = Tensor(rand((4, 3, 64, 64), 27)), Tensor(rand((4, 1, 64, 64), 28))
@@ -329,7 +332,22 @@ class TestHQINet:
                 seen.add(id(t))
                 nodes += t._backward is not None
                 stack.extend(t._parents)
-        assert nodes == 174
+        assert nodes == 168
+
+    def test_desk_inference_forward_peak_memory(self):
+        # 4 x 3 x 128^2, no graph: the head reads its four upsampled decoder
+        # outputs in place, so no whole-map concatenation or padded copy
+        # of them exists (38.8 MiB traced when both did).
+        m = build_model(ModelConfig.desk(), seed=8).eval()
+        x = Tensor(rand((4, 3, 128, 128), 29))
+        tracemalloc.start()
+        try:
+            with T.no_grad():
+                m(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * 2**20
 
 
 class TestParameterCensus:

@@ -291,8 +291,7 @@ class TestConv2dRowBands:
     def test_peak_memory_stays_below_patch_matrix(self):
         # The desk head's fuse conv at inference size. Its padded input is
         # 11.4 MB; an im2col patch matrix would be 4 x 378 x 128^2 float32,
-        # 99 MB. The graph-recording call keeps the padded input for its
-        # backward pass and must meet the same bound.
+        # 99 MB. The graph-recording call must meet the same bound.
         x = Tensor(rand((4, 42, 128, 128), 45).astype(np.float32), requires_grad=True)
         w = Tensor(rand((6, 42, 3, 3), 46).astype(np.float32), requires_grad=True)
 
@@ -307,6 +306,64 @@ class TestConv2dRowBands:
         with T.no_grad():
             assert peak() < 16 * 2**20
         assert peak() < 16 * 2**20
+
+    @staticmethod
+    def _traced(fn):
+        """(fn's result, peak traced bytes during fn, traced bytes it leaves held)."""
+        tracemalloc.start()
+        try:
+            out = fn()
+            held, peak = tracemalloc.get_traced_memory()
+            return out, peak, held
+        finally:
+            tracemalloc.stop()
+
+    def test_head_fuse_conv_pads_one_band_at_a_time(self):
+        # The desk head's fuse conv over its four upsampled decoder outputs at
+        # inference size. Concatenating them and padding the whole map would
+        # take 22 MiB; the band-wise conv holds its 1.6 MiB output with
+        # wrap-around columns, that output's crop and one band's buffer.
+        widths = (16, 12, 8, 6)
+        parts = [Tensor(rand((4, c, 128, 128), 50 + i).astype(np.float32))
+                 for i, c in enumerate(widths)]
+        w = Tensor(rand((6, sum(widths), 3, 3), 46).astype(np.float32))
+        with T.no_grad():
+            _, peak, _ = self._traced(lambda: T.conv2d(T.ChannelParts(*parts), w,
+                                                       zero_padding=1))
+        assert peak <= 6 * 2**20
+
+    def test_graph_conv_holds_its_output_not_its_padded_input(self):
+        x = Tensor(rand((4, 42, 128, 128), 45).astype(np.float32), requires_grad=True)
+        w = Tensor(rand((6, 42, 3, 3), 46).astype(np.float32), requires_grad=True)
+        out, _, held = self._traced(lambda: T.conv2d(x, w, zero_padding=1))
+        assert out._backward is not None
+        # the padded input would be 11.4 MB, the output is 1.6 MB
+        assert held < 1.1 * out.data.nbytes
+
+    @pytest.mark.parametrize("band", ["real", "small"])
+    @pytest.mark.parametrize("case", CASES)
+    def test_parts_match_concat_bit_for_bit(self, case, band, monkeypatch):
+        n, cin, cout, h, w, k, stride, dilation, groups, padding, bias, rows = case
+        if band == "small":
+            wq = -(-(w + 2 * padding) // stride)
+            monkeypatch.setattr(T, "_BAND_BYTES", rows * (cin + cout) * wq * 8)
+        kw = dict(stride=stride, dilation=dilation, groups=groups, zero_padding=padding)
+        split = cin // 2
+        for dtype in (np.float32, np.float64):
+            arrays = [rand((n, split, h, w), 60), rand((n, cin - split, h, w), 61),
+                      rand((cout, cin // groups, k, k), 62), rand((cout,), 63)]
+            arrays = [a.astype(dtype) for a in arrays[:3 + bias]]
+            results = []
+            for read in (T.concat_channels, T.ChannelParts):
+                leaves = [Tensor(a, requires_grad=True) for a in arrays]
+                out = T.conv2d(read(*leaves[:2]), *leaves[2:], **kw)
+                loss_weights = Tensor(rand(out.data.shape, 64).astype(dtype))
+                T.tsum(T.mul(out, loss_weights)).backward()
+                with T.no_grad():
+                    free = T.conv2d(read(*leaves[:2]), *leaves[2:], **kw).data
+                results.append([out.data, free] + [t.grad for t in leaves])
+            for got, want in zip(*results):
+                assert got.dtype == dtype and np.array_equal(got, want)
 
 
 class TestBatchNorm:

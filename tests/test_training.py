@@ -1,5 +1,6 @@
 """Training loop mechanics, checkpoint round trips, CLI behavior."""
 
+import contextlib
 import json
 import os
 import shutil
@@ -774,6 +775,70 @@ class TestCLI:
         cfg_path = self._write_config(tmp_path, data_dir, str(tmp_path / "run"), epochs=1)
         assert main(["train", "--config", cfg_path]) == 0
         assert "no best checkpoint" in capsys.readouterr().out
+
+    def test_nonfinite_model_output_is_numeric_error(self, run, data_dir, tmp_path,
+                                                     capsys):
+        state = load_checkpoint(run.last_path)
+        model = build_model(RunConfig.from_dict(state.config).model)
+        restore_model_state(model, state)
+        optimizer = Adam(list(model.named_parameters()), lr=1e-3)
+        restore_optimizer_state(optimizer, state)
+        dict(model.named_parameters())["head.out.weight"].data[0, 0, 0, 0] = np.nan
+        bad = str(tmp_path / "nan.hqic")
+        save_checkpoint(bad, model, optimizer, state.config, state.epoch, state.step,
+                        state.rng_state, state.best_val)
+        out = tmp_path / "eval"
+        assert main(["eval", "--checkpoint", bad, "--data", data_dir,
+                     "--out", str(out)]) == 4
+        assert "non-finite model output for p002 slice 1" in capsys.readouterr().err
+        assert not (out / "report.txt").exists() and not (out / "report.json").exists()
+        low = os.path.join(data_dir, "test", "p002_low.hqiv")
+        recon = tmp_path / "recon"
+        assert main(["reconstruct", "--checkpoint", bad, "--input", low,
+                     "--out", str(recon)]) == 4
+        assert f"non-finite model output for {low} slice 1" in capsys.readouterr().err
+        assert not (recon / "recon.hqiv").exists()
+
+    @staticmethod
+    def _failing_atomic_write(monkeypatch):
+        """Make every trainer artifact write fail after writing part of its file."""
+        real = trainer.atomic_write
+
+        @contextlib.contextmanager
+        def failing(path, mode="wb"):
+            with real(path, mode) as f:
+                f.write(b"part" if "b" in mode else "part")
+                raise OSError("disk full")
+            yield f  # unreachable; makes this a generator
+
+        monkeypatch.setattr(trainer, "atomic_write", failing)
+
+    def test_failed_report_write_keeps_previous_reports(self, run, data_dir, tmp_path,
+                                                        capsys, monkeypatch):
+        out = tmp_path / "eval"
+        argv = ["eval", "--checkpoint", run.last_path, "--data", data_dir, "--out", str(out)]
+        assert main(argv) == 0
+        before = {name: (out / name).read_bytes() for name in os.listdir(out)}
+        assert set(before) == {"report.txt", "report.json"}
+        json.loads(before["report.json"])
+        self._failing_atomic_write(monkeypatch)
+        assert main(argv) == 3
+        assert "disk full" in capsys.readouterr().err
+        assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
+
+    def test_failed_pgm_write_keeps_previous_slices(self, run, data_dir, tmp_path, capsys,
+                                                   monkeypatch):
+        out = tmp_path / "recon"
+        low = os.path.join(data_dir, "test", "p002_low.hqiv")
+        argv = ["reconstruct", "--checkpoint", run.last_path, "--input", low,
+                "--out", str(out)]
+        assert main(argv) == 0
+        before = {name: (out / name).read_bytes() for name in os.listdir(out)}
+        assert "slice_000.pgm" in before
+        self._failing_atomic_write(monkeypatch)
+        assert main(argv) == 3
+        assert "disk full" in capsys.readouterr().err
+        assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
 
     def test_numeric_error_exit_code(self, data_dir, tmp_path, capsys):
         cfg_path = self._write_config(tmp_path, data_dir, str(tmp_path / "run"),

@@ -12,10 +12,12 @@ from __future__ import annotations
 import json
 import math
 import struct
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .optim import check_adam_settings
 from .volume_io import atomic_write
 
 __all__ = [
@@ -37,6 +39,8 @@ FORMAT_VERSION = 1
 _PREFIX = struct.Struct("<4sHI")
 _HEADER_KEYS = ("config", "epoch", "step", "best_val", "rng", "adam", "params",
                 "buffers")
+# The optimizer attributes a checkpoint's "adam" header field holds.
+_ADAM_KEYS = ("lr", "beta1", "beta2", "epsilon", "step_count")
 
 
 class CheckpointError(DataError):
@@ -59,70 +63,57 @@ class CheckpointShapeError(CheckpointError):
     pass
 
 
+@dataclass
 class CheckpointState:
     """Decoded checkpoint: header fields plus named arrays."""
 
-    def __init__(self, config, epoch, step, best_val, rng_state, adam,
-                 params, moments_m, moments_v, buffers):
-        self.config = config
-        self.epoch = epoch
-        self.step = step
-        self.best_val = best_val
-        self.rng_state = rng_state
-        self.adam = adam
-        self.params = params
-        self.moments_m = moments_m
-        self.moments_v = moments_v
-        self.buffers = buffers
+    config: dict
+    epoch: int
+    step: int
+    best_val: float | None
+    rng_state: dict
+    adam: dict
+    params: dict
+    moments_m: dict
+    moments_v: dict
+    buffers: dict
 
 
-def _le_dtype(arr):
-    dt = arr.dtype.newbyteorder("<")
-    return np.ascontiguousarray(arr, dtype=dt), dt.str
+def _table(named_arrays):
+    """The ``[name, shape, dtype]`` header entries and little-endian blobs
+    of ``(name, array)`` pairs, in order."""
+    blobs = [(name, np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")))
+             for name, arr in named_arrays]
+    return [[name, list(b.shape), b.dtype.str] for name, b in blobs], [b for _, b in blobs]
 
 
 def save_checkpoint(path, model, optimizer, config_dict, epoch, step,
                     rng_state, best_val=None):
     params = [(name, p.data) for name, p in model.named_parameters()]
-    buffers = list(model.named_buffers())
-    blobs = []
-    param_meta = []
-    for name, arr in params:
-        arr, dts = _le_dtype(arr)
-        param_meta.append([name, list(arr.shape), dts])
-        blobs.append(arr)
-    for store in (optimizer.m, optimizer.v):
-        for name, _ in params:
-            arr, _ = _le_dtype(store[name])
-            blobs.append(arr)
-    buffer_meta = []
-    for name, arr in buffers:
-        arr, dts = _le_dtype(arr)
-        buffer_meta.append([name, list(arr.shape), dts])
-        blobs.append(arr)
+    # Blob order: parameters, first moments, second moments, buffers. The
+    # moments are read with the parameters' entries, so each is stored in
+    # its parameter's dtype.
+    moments = [[(name, store[name].astype(arr.dtype, copy=False)) for name, arr in params]
+               for store in (optimizer.m, optimizer.v)]
+    sections = [_table(named) for named in (params, *moments, model.named_buffers())]
     header = {
         "config": config_dict,
         "epoch": int(epoch),
         "step": int(step),
         "best_val": best_val,
         "rng": rng_state,
-        "adam": {
-            "lr": optimizer.lr,
-            "beta1": optimizer.beta1,
-            "beta2": optimizer.beta2,
-            "epsilon": optimizer.epsilon,
-            "step_count": optimizer.step_count,
-        },
-        "params": param_meta,
-        "buffers": buffer_meta,
+        "adam": {key: getattr(optimizer, key) for key in _ADAM_KEYS},
+        "params": sections[0][0],
+        "buffers": sections[3][0],
     }
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     # A failed write leaves the previous checkpoint whole.
     with atomic_write(path) as f:
         f.write(_PREFIX.pack(MAGIC, FORMAT_VERSION, len(head)))
         f.write(head)
-        for blob in blobs:
-            f.write(blob.tobytes())
+        for _, blobs in sections:
+            for blob in blobs:
+                f.write(blob.tobytes())
 
 
 def _well_formed(meta):
@@ -141,13 +132,14 @@ def _resumable(header):
     adam, num = header["adam"], (int, float)
     try:
         np.random.PCG64(0).state = header["rng"]
+        check_adam_settings(adam["lr"], adam["beta1"], adam["beta2"], adam["epsilon"])
     except (TypeError, ValueError, KeyError, OverflowError):
         return False
     return (isinstance(header["config"], dict) and isinstance(adam, dict)
             and all(type(v) is int and v >= 0
                     for v in (header["epoch"], header["step"], adam.get("step_count")))
             and (header["best_val"] is None or type(header["best_val"]) in num)
-            and all(type(adam[k]) in num for k in ("lr", "beta1", "beta2", "epsilon") if k in adam))
+            and all(type(adam[k]) in num for k in _ADAM_KEYS))
 
 
 def load_checkpoint(path):
@@ -237,11 +229,8 @@ def restore_optimizer_state(optimizer, state: CheckpointState):
     for store, saved in stores:
         for name in store:
             store[name] = saved[name].astype(store[name].dtype, copy=True)
-    adam = state.adam
-    for key in ("lr", "beta1", "beta2", "epsilon"):
-        if key in adam:
-            setattr(optimizer, key, adam[key])
-    optimizer.step_count = int(adam["step_count"])
+    for key in _ADAM_KEYS:
+        setattr(optimizer, key, state.adam[key])
 
 
 def check_model_config(config_dict, state: CheckpointState):

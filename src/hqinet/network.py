@@ -282,20 +282,16 @@ class HQINet(Module):
         self.config = config
         w = config.widths()
         self.stem = Stem(IN_SLICES, w["stem"])
-        stage_strides = (1, 2, 2, 2)
         in_c = w["stem"]
         stages = []
         for base, count, stride in zip(w["stage_base"], config.stage_block_counts,
-                                       stage_strides):
+                                       (1, 2, 2, 2)):
             blocks = []
             for b in range(count):
                 blocks.append(Bottleneck(in_c, base, stride if b == 0 else 1, config.se_reduction))
                 in_c = base * EXPANSION
             stages.append(blocks)
-        self.stage1 = stages[0]
-        self.stage2 = stages[1]
-        self.stage3 = stages[2]
-        self.stage4 = stages[3]
+        self.stage1, self.stage2, self.stage3, self.stage4 = stages
         self.aspp = ASPP(w["stage_out"][3], config.aspp_rates, w["aspp"])
         dc = w["decoder"]
         sp = w["skip_proj"]
@@ -311,20 +307,13 @@ class HQINet(Module):
             raise ValueError(f"expected {IN_SLICES} input slices as channels, got {c}")
         if h % OUTPUT_STRIDE or w % OUTPUT_STRIDE:
             raise ValueError(f"input spatial size {h}x{w} must be divisible by {OUTPUT_STRIDE}")
-        s0 = self.stem(x)
-        t = s0
-        for blk in self.stage1:
-            t = blk(t)
-        s1 = t
-        for blk in self.stage2:
-            t = blk(t)
-        s2 = t
-        for blk in self.stage3:
-            t = blk(t)
-        s3 = t
-        for blk in self.stage4:
-            t = blk(t)
-        return EncoderOutputs(skips=(s0, s1, s2, s3), bottom=self.aspp(t))
+        t = self.stem(x)
+        skips = []
+        for stage in (self.stage1, self.stage2, self.stage3, self.stage4):
+            skips.append(t)
+            for blk in stage:
+                t = blk(t)
+        return EncoderOutputs(skips=tuple(skips), bottom=self.aspp(t))
 
     def forward(self, x):
         n, _, h, w = x.data.shape

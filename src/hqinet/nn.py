@@ -1,7 +1,7 @@
 """Layer modules, parameter registry and weight initialization.
 
-Modules track their Parameters and child modules through attribute
-order, which fixes the hierarchical parameter names and therefore the
+Modules track their Parameters, buffers and child modules through
+attribute order, which fixes the hierarchical names and therefore the
 checkpoint serialization order.
 """
 
@@ -36,11 +36,11 @@ class Parameter(Tensor):
 
 
 class Module:
-    """Base class with parameter / buffer discovery and train-eval state."""
+    """Base class with parameter / buffer discovery and train-eval state.
+    A buffer is a float ndarray attribute, checkpointed but not trained."""
 
     def __init__(self):
         self.training = True
-        self._buffers = {}
 
     def forward(self, *args, **kwargs):
         raise NotImplementedError
@@ -48,43 +48,40 @@ class Module:
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
 
-    def register_buffer(self, name, array):
-        self._buffers[name] = np.asarray(array)
+    def _walk(self, prefix=""):
+        """Yield ``(name, owner, value)`` for every parameter, buffer and
+        child module below this one, depth first in assignment order.
 
-    def _children(self):
+        Parameters and buffers are read from public attributes, child
+        modules also from the items of list or tuple attributes (named by
+        index). ``owner`` is the module whose attribute holds ``value``.
+        """
         for attr, value in vars(self).items():
-            if attr.startswith("_") or attr == "training":
+            if attr.startswith("_"):
                 continue
-            if isinstance(value, Module):
-                yield attr, value
-            elif isinstance(value, (list, tuple)):
-                for i, item in enumerate(value):
-                    if isinstance(item, Module):
-                        yield f"{attr}.{i}", item
+            if isinstance(value, (list, tuple)):
+                items = [(f"{attr}.{i}", v) for i, v in enumerate(value)
+                         if isinstance(v, Module)]
+            else:
+                items = [(attr, value)]
+            for name, item in items:
+                if isinstance(item, (Parameter, Module)) or (
+                        isinstance(item, np.ndarray) and item.dtype.kind == "f"):
+                    yield prefix + name, self, item
+                if isinstance(item, Module):
+                    yield from item._walk(prefix + name + ".")
 
-    def named_parameters(self, prefix=""):
-        for attr, value in vars(self).items():
-            if attr.startswith("_") or attr == "training":
-                continue
-            if isinstance(value, Parameter):
-                yield prefix + attr, value
-        for name, child in self._children():
-            yield from child.named_parameters(prefix + name + ".")
+    def named_parameters(self):
+        return ((name, v) for name, _, v in self._walk() if isinstance(v, Parameter))
 
     def parameters(self):
-        for _, p in self.named_parameters():
-            yield p
+        return (p for _, p in self.named_parameters())
 
-    def named_buffers(self, prefix=""):
-        for name, buf in self._buffers.items():
-            yield prefix + name, buf
-        for name, child in self._children():
-            yield from child.named_buffers(prefix + name + ".")
+    def named_buffers(self):
+        return ((name, v) for name, _, v in self._walk() if isinstance(v, np.ndarray))
 
     def modules(self):
-        yield self
-        for _, child in self._children():
-            yield from child.modules()
+        return [self] + [v for _, _, v in self._walk() if isinstance(v, Module)]
 
     def train(self, mode=True):
         for m in self.modules():
@@ -95,14 +92,13 @@ class Module:
         return self.train(False)
 
     def astype(self, dtype):
-        """Convert every parameter and float buffer in place."""
-        for p in self.parameters():
-            p.data = p.data.astype(dtype)
-            p.grad = None
-        for m in self.modules():
-            for name, buf in m._buffers.items():
-                if np.issubdtype(buf.dtype, np.floating):
-                    m._buffers[name] = buf.astype(dtype)
+        """Convert every parameter and buffer in place."""
+        for name, owner, value in self._walk():
+            if isinstance(value, Parameter):
+                value.data = value.data.astype(dtype)
+                value.grad = None
+            elif isinstance(value, np.ndarray):
+                setattr(owner, name.rpartition(".")[2], value.astype(dtype))
         return self
 
     def num_parameters(self):
@@ -145,19 +141,19 @@ class BatchNorm2d(Module):
         self.channels = channels
         self.gamma = Parameter(np.ones(channels, dtype=np.float32))
         self.beta = Parameter(np.zeros(channels, dtype=np.float32))
-        self.register_buffer("running_mean", np.zeros(channels, dtype=np.float32))
-        self.register_buffer("running_var", np.ones(channels, dtype=np.float32))
+        self.running_mean = np.zeros(channels, dtype=np.float32)
+        self.running_var = np.ones(channels, dtype=np.float32)
 
     def forward(self, x):
         c = self.channels
         if x.data.shape[1] != c:
             raise ValueError(f"expected {c} channels, got {x.data.shape[1]}")
-        buf, m = self._buffers, BN_MOMENTUM
-        stats = None if self.training else (buf["running_mean"], buf["running_var"])
+        m = BN_MOMENTUM
+        stats = None if self.training else (self.running_mean, self.running_var)
         out, mean, var = T.batch_norm(x, self.gamma, self.beta, BN_EPSILON, stats)
         if self.training:
-            buf["running_mean"] = (1.0 - m) * buf["running_mean"] + m * mean
-            buf["running_var"] = (1.0 - m) * buf["running_var"] + m * var
+            self.running_mean = (1.0 - m) * self.running_mean + m * mean
+            self.running_var = (1.0 - m) * self.running_var + m * var
         return out
 
 

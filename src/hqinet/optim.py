@@ -4,7 +4,19 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Adam"]
+__all__ = ["Adam", "check_adam_settings"]
+
+
+def check_adam_settings(lr, beta1, beta2, epsilon):
+    """Raise ValueError unless lr is finite and > 0, beta1 and beta2 lie in
+    [0, 1) and epsilon > 0. NaN fails every test; an infinite lr makes the
+    first step's update NaN wherever a moment is 0."""
+    if not 0 < lr < float("inf"):
+        raise ValueError(f"lr must be finite and > 0, got {lr}")
+    if not (0 <= beta1 < 1 and 0 <= beta2 < 1):
+        raise ValueError(f"beta1 and beta2 must be in [0, 1), got {beta1}, {beta2}")
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be > 0, got {epsilon}")
 
 
 class Adam:
@@ -17,10 +29,7 @@ class Adam:
     """
 
     def __init__(self, named_params, lr, beta1=0.9, beta2=0.999, epsilon=1e-8):
-        if lr <= 0:
-            raise ValueError(f"learning rate must be > 0, got {lr}")
-        if not (0.0 <= beta1 < 1.0) or not (0.0 <= beta2 < 1.0):
-            raise ValueError(f"betas must be in [0, 1), got {beta1}, {beta2}")
+        check_adam_settings(lr, beta1, beta2, epsilon)
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2

@@ -11,6 +11,7 @@ from .dataset import SyntheticSpec
 from .errors import ConfigError
 from .losses import LossWeights, SsimParams
 from .network import OUTPUT_STRIDE, ModelConfig
+from .optim import check_adam_settings
 
 __all__ = ["OptimizerConfig", "DataConfig", "RunConfig"]
 
@@ -72,12 +73,7 @@ class OptimizerConfig:
     epsilon: float = 1e-8
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError(f"lr must be > 0, got {self.lr}")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ValueError(f"beta1 and beta2 must be in [0, 1), got {self.beta1}, {self.beta2}")
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+        check_adam_settings(self.lr, self.beta1, self.beta2, self.epsilon)
 
 
 @dataclass

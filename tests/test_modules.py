@@ -101,8 +101,8 @@ class TestBatchNorm:
         bn(Tensor(x))
         mu = x.mean(axis=(0, 2, 3))
         var = x.var(axis=(0, 2, 3))
-        assert np.allclose(bn._buffers["running_mean"], 0.9 * 0.0 + 0.1 * mu)
-        assert np.allclose(bn._buffers["running_var"], 0.9 * 1.0 + 0.1 * var)
+        assert np.allclose(bn.running_mean, 0.9 * 0.0 + 0.1 * mu)
+        assert np.allclose(bn.running_var, 0.9 * 1.0 + 0.1 * var)
 
     def test_eval_mode_uses_running_stats(self):
         bn = BatchNorm2d(1).astype(np.float64).eval()
@@ -223,6 +223,18 @@ class TestAdam:
         with pytest.raises(ValueError):
             Adam([("a", p), ("a", p)], lr=0.1)
 
+    @pytest.mark.parametrize("settings, message", [
+        ({"epsilon": 0.0}, "epsilon must be > 0"),
+        ({"epsilon": -1e-8}, "epsilon must be > 0"),
+        ({"lr": float("nan")}, "lr must be finite and > 0"),
+        ({"lr": float("inf")}, "lr must be finite and > 0"),
+        ({"beta2": 1.5}, r"beta1 and beta2 must be in \[0, 1\)"),
+    ])
+    def test_rejects_out_of_range_settings(self, settings, message):
+        p, _ = self._pair((1,), 8)
+        with pytest.raises(ValueError, match=message):
+            Adam([("w", p)], **dict({"lr": 0.1}, **settings))
+
     def test_state_round_trip(self, tmp_path):
         m = Tiny()
         opt = Adam(list(m.named_parameters()), lr=0.01)
@@ -254,6 +266,34 @@ class TestAdam:
         with pytest.raises(CheckpointShapeError, match="ghost"):
             restore_optimizer_state(opt2, state)
 
+    def test_astype_after_adam_round_trips(self, tmp_path):
+        # The moments stay float32 while the parameters become float64;
+        # each moment is stored in its parameter's dtype, under its entry.
+        m = Tiny()
+        opt = Adam(list(m.named_parameters()), lr=0.01)
+        m.astype(np.float64)
+        rng = np.random.default_rng(10)
+        for _, p in m.named_parameters():
+            p.grad = rng.normal(size=p.data.shape)
+        opt.step()
+        path = str(tmp_path / "f64.hqic")
+        save_checkpoint(path, m, opt, {}, 1, 1, rng.bit_generator.state)
+        state = load_checkpoint(path)
+        assert all(a.dtype == np.float64 for a in state.moments_m.values())
+
+        m2 = Tiny()
+        opt2 = Adam(list(m2.named_parameters()), lr=0.01)
+        m2.astype(np.float64)
+        restore_model_state(m2, state)
+        restore_optimizer_state(opt2, state)
+        for name in opt.m:
+            assert np.array_equal(opt2.m[name], opt.m[name])
+            assert np.array_equal(opt2.v[name], opt.v[name])
+        path2 = str(tmp_path / "f64_resaved.hqic")
+        save_checkpoint(path2, m2, opt2, {}, 1, 1, state.rng_state)
+        with open(path, "rb") as a, open(path2, "rb") as b:
+            assert a.read() == b.read()
+
     def test_model_restore_checks_buffers(self, tmp_path):
         m = Tiny()
         opt = Adam(list(m.named_parameters()), lr=0.01)
@@ -266,7 +306,7 @@ class TestAdam:
         state.buffers["bn.running_mean"] = np.arange(3.0)  # float64, right shape
         restore_model_state(m2, state)
         # copied into the live arrays, cast to the model's dtype
-        assert m2.bn._buffers["running_mean"] is live["bn.running_mean"]
+        assert m2.bn.running_mean is live["bn.running_mean"]
         assert live["bn.running_mean"].dtype == np.float32
         assert np.array_equal(live["bn.running_mean"], [0.0, 1.0, 2.0])
 
@@ -285,4 +325,4 @@ class TestAdam:
                 restore_model_state(m3, state)
             # nothing is restored unless every name and shape lines up
             assert np.array_equal(m3.first.weight.data, weight)
-            assert np.array_equal(m3.bn._buffers["running_mean"], np.zeros(3))
+            assert np.array_equal(m3.bn.running_mean, np.zeros(3))

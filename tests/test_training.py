@@ -207,20 +207,27 @@ class TestCheckpointFormat:
         model = build_model(RunConfig.from_dict(state.config).model)
         optimizer = Adam(list(model.named_parameters()), lr=1e-3)
 
-        class FailingBlob(np.ndarray):
-            def tobytes(self, order="C"):
-                raise OSError("disk full")
+        real = ckpt.atomic_write
+        writes = []
 
-        real = ckpt._le_dtype
-        calls = []
+        class FailingFile:
+            def __init__(self, f):
+                self.f = f
 
-        def le_dtype(arr):
-            out, dts = real(arr)
-            calls.append(None)
-            # the third blob fails, after the header and two blobs are written
-            return (out.view(FailingBlob) if len(calls) == 3 else out), dts
+            def write(self, data):
+                writes.append(None)
+                # the third blob fails, after the prefix, the header and
+                # two blobs are written
+                if len(writes) == 5:
+                    raise OSError("disk full")
+                return self.f.write(data)
 
-        monkeypatch.setattr(ckpt, "_le_dtype", le_dtype)
+        @contextlib.contextmanager
+        def failing_write(path):
+            with real(path) as f:
+                yield FailingFile(f)
+
+        monkeypatch.setattr(ckpt, "atomic_write", failing_write)
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(path, model, optimizer, state.config, 9, 99,
                             state.rng_state)
@@ -527,6 +534,10 @@ class TestCLI:
             assert main(["reconstruct", "--checkpoint", run.last_path, "--input", low,
                          "--out", str(tmp_path / "recon")]) == 3
             assert "manifest" in capsys.readouterr().err
+            cfg_path = self._write_config(tmp_path, str(data), str(tmp_path / "run"))
+            assert main(["train", "--config", cfg_path]) == 3
+            assert "manifest" in capsys.readouterr().err
+            assert not (tmp_path / "run" / "loss_log.csv").exists()
 
     def test_crop_larger_than_slice_is_config_error(self, data_dir, tmp_path, capsys):
         cfg = make_config(data_dir, tmp_path / "run")
@@ -618,7 +629,9 @@ class TestCLI:
         good = make_config(data_dir, tmp_path / "run").to_dict()
         path = tmp_path / "config.json"
         betas = "beta1 and beta2 must be in [0, 1)"
-        for key, value, message in (("beta1", 1.5, betas), ("beta1", -0.1, betas),
+        lr = "lr must be finite and > 0"
+        for key, value, message in (("lr", 0.0, lr), ("lr", float("inf"), lr),
+                                    ("beta1", 1.5, betas), ("beta1", -0.1, betas),
                                     ("beta2", 1.0, betas), ("epsilon", -1.0, "epsilon must be > 0"),
                                     ("epsilon", 0.0, "epsilon must be > 0")):
             path.write_text(json.dumps(dict(good, optimizer=dict(good["optimizer"],
@@ -742,6 +755,31 @@ class TestCLI:
             write(mutate)
             assert main(["train", "--config", cfg_path, "--resume", bad]) == 3
             assert "header" in capsys.readouterr().err
+
+    def test_out_of_range_adam_header_exit_code(self, run, data_dir, tmp_path, capsys):
+        raw = Path(run.last_path).read_bytes()
+        magic, version, head_len = ckpt._PREFIX.unpack_from(raw)
+        start = ckpt._PREFIX.size
+        run_dir = tmp_path / "run"
+        shutil.copytree(os.path.dirname(run.last_path), run_dir)
+        logs = {n: (run_dir / n).read_bytes() for n in ("loss_log.csv", "val_log.csv")}
+        # Two epochs, so a resume from the epoch-1 checkpoint would train.
+        cfg_path = self._write_config(tmp_path, data_dir, str(run_dir), epochs=2)
+        bad = str(tmp_path / "bad.hqic")
+        for key, value in (("lr", 0.0), ("lr", -1.0), ("lr", float("inf")),
+                           ("beta1", 1.0), ("beta1", -0.1),
+                           ("beta2", 1.5), ("epsilon", 0.0), ("epsilon", -1e-8)):
+            header = json.loads(raw[start:start + head_len])
+            header["adam"][key] = value
+            head = json.dumps(header).encode()
+            with open(bad, "wb") as f:
+                f.write(ckpt._PREFIX.pack(magic, version, len(head)) + head
+                        + raw[start + head_len:])
+            with pytest.raises(CheckpointError):
+                load_checkpoint(bad)
+            assert main(["train", "--config", cfg_path, "--resume", bad]) == 3, (key, value)
+            assert "header" in capsys.readouterr().err
+            assert {n: (run_dir / n).read_bytes() for n in logs} == logs
 
     def test_misshaped_buffer_checkpoint_exit_code(self, run, data_dir, tmp_path, capsys):
         # A buffer entry with another shape and dtype but the same byte

@@ -5,7 +5,7 @@ pipeline, and a deterministic training CLI."""
 from .tensor import Tensor, no_grad
 from .network import HQINet, ModelConfig, build_model, parameter_count
 from .losses import LossWeights, SsimParams, l1_loss, ssim, ssim_loss
-from .metrics import MetricsReport, metrics_report, mutual_information, nmse, psnr
+from .metrics import metrics_report, mutual_information, nmse, psnr
 from .runconfig import RunConfig
 from .trainer import evaluate, reconstruct, train
 
@@ -23,7 +23,6 @@ __all__ = [
     "l1_loss",
     "ssim",
     "ssim_loss",
-    "MetricsReport",
     "metrics_report",
     "mutual_information",
     "nmse",

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .optim import check_adam_settings
+from .runconfig import RunConfig
 from .volume_io import atomic_write
 
 __all__ = [
@@ -67,7 +68,7 @@ class CheckpointShapeError(CheckpointError):
 class CheckpointState:
     """Decoded checkpoint: header fields plus named arrays."""
 
-    config: dict
+    config: RunConfig
     epoch: int
     step: int
     best_val: float | None
@@ -128,14 +129,14 @@ def _well_formed(meta):
 
 
 def _resumable(header):
-    """True when counters, best value, config, Adam and RNG state can be restored."""
+    """True when counters, best value, Adam and RNG state can be restored."""
     adam, num = header["adam"], (int, float)
     try:
         np.random.PCG64(0).state = header["rng"]
         check_adam_settings(adam["lr"], adam["beta1"], adam["beta2"], adam["epsilon"])
     except (TypeError, ValueError, KeyError, OverflowError):
         return False
-    return (isinstance(header["config"], dict) and isinstance(adam, dict)
+    return (isinstance(adam, dict)
             and all(type(v) is int and v >= 0
                     for v in (header["epoch"], header["step"], adam.get("step_count")))
             and (header["best_val"] is None or type(header["best_val"]) in num)
@@ -164,6 +165,11 @@ def load_checkpoint(path):
             and all(isinstance(header[key], list) and all(map(_well_formed, header[key]))
                     for key in ("params", "buffers")) and _resumable(header)):
         raise CheckpointError(f"{path}: header lacks a field or holds a malformed value")
+    try:
+        config = RunConfig.from_dict(header["config"])
+    except ConfigError as exc:
+        raise CheckpointError(f"{path}: header holds a run config that does not decode: "
+                              f"{exc}") from exc
     offset = _PREFIX.size + head_len
 
     def take(meta):
@@ -186,7 +192,7 @@ def load_checkpoint(path):
         raise CheckpointTruncatedError(
             f"{path}: {len(raw) - offset} unexpected trailing bytes")
     return CheckpointState(
-        config=header["config"], epoch=header["epoch"], step=header["step"],
+        config=config, epoch=header["epoch"], step=header["step"],
         best_val=header["best_val"], rng_state=header["rng"], adam=header["adam"],
         params=params, moments_m=moments_m, moments_v=moments_v, buffers=buffers)
 
@@ -233,10 +239,9 @@ def restore_optimizer_state(optimizer, state: CheckpointState):
         setattr(optimizer, key, state.adam[key])
 
 
-def check_model_config(config_dict, state: CheckpointState):
-    """Raise ConfigError when the checkpoint's model section differs."""
-    saved = state.config.get("model")
-    if saved != config_dict.get("model"):
+def check_model_config(config: RunConfig, state: CheckpointState):
+    """Raise ConfigError when the checkpoint's model configuration differs."""
+    if state.config.model != config.model:
         raise ConfigError(
             "checkpoint was produced with a different model configuration; "
-            f"saved {saved}, requested {config_dict.get('model')}")
+            f"saved {state.config.model}, requested {config.model}")

@@ -81,11 +81,10 @@ def _run(args) -> int:
     if args.command == "eval":
         data_dir = args.data or config.data.root
         out_dir = args.out or config.output_dir
-        low_rep, model_rep = evaluate(args.checkpoint, data_dir, out_dir)
+        delta = evaluate(args.checkpoint, data_dir, out_dir)["delta"]
         with open(f"{out_dir}/report.txt") as f:
             print(f.read(), end="")
-        print(f"PSNR delta: {model_rep.mean['psnr_db'] - low_rep.mean['psnr_db']:+.2f} dB, "
-              f"MI delta: {model_rep.mean['mi'] - low_rep.mean['mi']:+.3f}")
+        print(f"PSNR delta: {delta['psnr_db']:+.2f} dB, MI delta: {delta['mi']:+.3f}")
         return EXIT_OK
     if args.command == "reconstruct":
         out_dir = args.out or config.output_dir

@@ -1,11 +1,13 @@
 """Evaluation metrics: L1, NMSE, PSNR and mutual information, plus the
 aggregate report. These operate on plain arrays and are not differentiated.
+
+A report has one format, the one ``report.json`` holds:
+``{"n", "<metric>": {"mean", "std"}, "per_image": {"<metric>": [...]}}``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,7 +16,6 @@ __all__ = [
     "nmse",
     "psnr",
     "mutual_information",
-    "MetricsReport",
     "metrics_report",
     "format_table",
 ]
@@ -44,14 +45,9 @@ def nmse(pred, ref):
     return float(np.sum((p - r) ** 2) / denom)
 
 
-def psnr(pred, ref, mode="standard", peak=None):
-    """Peak signal-to-noise ratio in dB; +inf for identical images.
-
-    standard: 10*log10(peak^2 / MSE). root_mse keeps a square root in
-    the denominator, 10*log10(peak^2 / sqrt(MSE)).
-    """
-    if mode not in ("standard", "root_mse"):
-        raise ValueError(f"unknown psnr mode {mode!r}")
+def psnr(pred, ref, peak=None):
+    """Peak signal-to-noise ratio in dB, 10*log10(peak^2 / MSE); +inf for
+    identical images. ``peak`` defaults to the reference's maximum."""
     p, r = _pair(pred, ref)
     if peak is None:
         peak = float(r.max())
@@ -60,8 +56,7 @@ def psnr(pred, ref, mode="standard", peak=None):
     mse = float(np.mean((p - r) ** 2))
     if mse == 0.0:
         return math.inf
-    denom = mse if mode == "standard" else math.sqrt(mse)
-    return float(10.0 * math.log10(peak * peak / denom))
+    return float(10.0 * math.log10(peak * peak / mse))
 
 
 def mutual_information(pred, ref, bins=64, data_range=1.0):
@@ -87,27 +82,10 @@ def mutual_information(pred, ref, bins=64, data_range=1.0):
     return float(np.sum(joint[nz] * np.log(joint[nz] / outer[nz])))
 
 
-@dataclass
-class MetricsReport:
-    """Per-image metric values with mean and sample standard deviation.
-
-    With a single image the standard deviation is reported as 0.
-    """
-
-    per_image: dict
-    mean: dict
-    std: dict
-    n: int
-
-    def to_json_dict(self):
-        out = {"n": self.n}
-        for key in METRIC_KEYS:
-            out[key] = {"mean": self.mean[key], "std": self.std[key]}
-        out["per_image"] = {k: list(self.per_image[k]) for k in METRIC_KEYS}
-        return out
-
-
-def metrics_report(pred_set, ref_set) -> MetricsReport:
+def metrics_report(pred_set, ref_set):
+    """The report of ``pred_set`` against ``ref_set``: per-image values of
+    every metric, with their mean and sample standard deviation (0 for a
+    single image)."""
     preds = list(pred_set)
     refs = list(ref_set)
     if len(preds) != len(refs):
@@ -121,30 +99,24 @@ def metrics_report(pred_set, ref_set) -> MetricsReport:
         per["psnr_db"].append(psnr(p, r))
         per["mi"].append(mutual_information(p, r))
     n = len(preds)
-    mean = {k: float(np.mean(v)) for k, v in per.items()}
-    std = {k: (float(np.std(v, ddof=1)) if n > 1 else 0.0) for k, v in per.items()}
-    return MetricsReport(per_image=per, mean=mean, std=std, n=n)
-
-
-def _cell(mean, std):
-    return f"{mean:.4f} +/- {std:.4f}"
+    report = {"n": n}
+    for k, v in per.items():
+        report[k] = {"mean": float(np.mean(v)),
+                     "std": float(np.std(v, ddof=1)) if n > 1 else 0.0}
+    report["per_image"] = per
+    return report
 
 
 def format_table(rows):
-    """Plain-text table; ``rows`` is a list of (label, MetricsReport).
+    """Plain-text table; ``rows`` is a list of (label, report).
 
     Columns: L1 error, NMSE, PSNR [dB], MI.
     """
     header = ["", "L1 error", "NMSE", "PSNR [dB]", "MI"]
     lines = [header]
     for label, rep in rows:
-        lines.append([
-            label,
-            _cell(rep.mean["l1"], rep.std["l1"]),
-            _cell(rep.mean["nmse"], rep.std["nmse"]),
-            _cell(rep.mean["psnr_db"], rep.std["psnr_db"]),
-            _cell(rep.mean["mi"], rep.std["mi"]),
-        ])
+        lines.append([label] + [f"{rep[k]['mean']:.4f} +/- {rep[k]['std']:.4f}"
+                                for k in METRIC_KEYS])
     widths = [max(len(row[i]) for row in lines) for i in range(len(header))]
     out = []
     for row in lines:

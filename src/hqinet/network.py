@@ -198,7 +198,6 @@ class Bottleneck(Module):
         if self.has_projection:
             self.shortcut = Conv2d(in_c, out_c, 1, stride=stride, bias=False)
             self.shortcut_bn = BatchNorm2d(out_c)
-        self.out_channels = out_c
 
     def forward(self, x):
         r = self.expand_bn(self.expand(self.spatial(self.reduce(x))))
@@ -219,15 +218,14 @@ class ASPP(Module):
 
     def __init__(self, in_c, rates, out_channels):
         super().__init__()
-        self.rates = tuple(rates)
         self.point = Conv2d(in_c, out_channels, 1, bias=True)
         # Padding each branch by its rate keeps the map size and lets any
         # rate run on any input of at least one pixel.
         self.depthwise = [Conv2d(in_c, in_c, 3, dilation=r, padding=r, groups=in_c, bias=False)
-                          for r in self.rates]
-        self.pointwise = [Conv2d(in_c, out_channels, 1, bias=True) for _ in self.rates]
+                          for r in rates]
+        self.pointwise = [Conv2d(in_c, out_channels, 1, bias=True) for _ in rates]
         self.pool_conv = Conv2d(in_c, out_channels, 1, bias=True)
-        n_branches = 2 + len(self.rates)
+        n_branches = 2 + len(rates)
         self.project = Conv2d(n_branches * out_channels, out_channels, 1, bias=True)
 
     def forward(self, x):
@@ -279,7 +277,6 @@ class HQINet(Module):
 
     def __init__(self, config: ModelConfig):
         super().__init__()
-        self.config = config
         w = config.widths()
         self.stem = Stem(IN_SLICES, w["stem"])
         in_c = w["stem"]

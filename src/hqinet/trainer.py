@@ -153,7 +153,7 @@ def train(config: RunConfig, resume=None, triplets=None, val_triplets=None) -> T
     loss_rows = val_rows = ""
     if resume is not None:
         state = load_checkpoint(resume)
-        check_model_config(config.to_dict(), state)
+        check_model_config(config, state)
         if state.epoch > config.epochs:
             raise ConfigError(f"{resume} is from epoch {state.epoch}, past the "
                               f"configured {config.epochs} epochs")
@@ -227,10 +227,9 @@ def train(config: RunConfig, resume=None, triplets=None, val_triplets=None) -> T
 
 def _load_model_from_checkpoint(ckpt_path):
     state = load_checkpoint(ckpt_path)
-    config = RunConfig.from_dict(state.config)
-    model = build_model(config.model)
+    model = build_model(state.config.model)
     restore_model_state(model, state)
-    return model, config, state
+    return model, state.config
 
 
 def _predict_volume(model, low_volume, name, batch_size):
@@ -247,9 +246,11 @@ def evaluate(ckpt_path, data_dir, out_dir):
     vs full dose.
 
     Writes report.txt (two rows mirroring the low-dose / model
-    comparison) and report.json; returns (low_report, model_report).
+    comparison) and report.json, and returns the report.json object:
+    ``{"low_dose", "model", "delta"}``, two metric reports and the model's
+    mean PSNR and MI gains over the low-dose inputs.
     """
-    model, config, _ = _load_model_from_checkpoint(ckpt_path)
+    model, config = _load_model_from_checkpoint(ckpt_path)
     os.makedirs(out_dir, exist_ok=True)
     low_mids, full_mids, pred_mids = [], [], []
     for pid, low, full, _manifest in load_volume_pairs(data_dir, "test"):
@@ -260,17 +261,11 @@ def evaluate(ckpt_path, data_dir, out_dir):
         low_mids.extend(low[1:-1])
         full_mids.extend(full[1:-1])
         pred_mids.extend(preds)
-    low_report = metrics_report(low_mids, full_mids)
-    model_report = metrics_report(pred_mids, full_mids)
-    table = format_table([("Low-dose", low_report), ("HQINet", model_report)])
-    report = {
-        "low_dose": low_report.to_json_dict(),
-        "model": model_report.to_json_dict(),
-        "delta": {
-            "psnr_db": model_report.mean["psnr_db"] - low_report.mean["psnr_db"],
-            "mi": model_report.mean["mi"] - low_report.mean["mi"],
-        },
-    }
+    low_rep = metrics_report(low_mids, full_mids)
+    model_rep = metrics_report(pred_mids, full_mids)
+    table = format_table([("Low-dose", low_rep), ("HQINet", model_rep)])
+    report = {"low_dose": low_rep, "model": model_rep,
+              "delta": {k: model_rep[k]["mean"] - low_rep[k]["mean"] for k in ("psnr_db", "mi")}}
     try:
         report_json = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError as exc:
@@ -278,7 +273,7 @@ def evaluate(ckpt_path, data_dir, out_dir):
     for name, text in (("report.txt", table), ("report.json", report_json)):
         with atomic_write(os.path.join(out_dir, name), "w") as f:
             f.write(text)
-    return low_report, model_report
+    return report
 
 
 def _write_pgm(path, image):
@@ -298,7 +293,7 @@ def reconstruct(ckpt_path, input_path, out_dir):
     copied from the input unchanged (a triplet needs both neighbors).
     Writes recon.hqiv, its manifest, and one PGM per slice.
     """
-    model, config, _ = _load_model_from_checkpoint(ckpt_path)
+    model, config = _load_model_from_checkpoint(ckpt_path)
     volume = read_volume(input_path)
     if volume.shape[0] < 3:
         raise DataError(

@@ -135,7 +135,7 @@ def nmse_naive(pred, ref):
     return num / den
 
 
-def psnr_naive(pred, ref, mode="standard"):
+def psnr_naive(pred, ref):
     p = np.asarray(pred, dtype=np.float64).ravel()
     r = np.asarray(ref, dtype=np.float64).ravel()
     peak = max(r)
@@ -145,8 +145,7 @@ def psnr_naive(pred, ref, mode="standard"):
     mse /= p.size
     if mse == 0.0:
         return math.inf
-    denom = mse if mode == "standard" else math.sqrt(mse)
-    return 10.0 * math.log10(peak * peak / denom)
+    return 10.0 * math.log10(peak * peak / mse)
 
 
 def mi_naive(pred, ref, bins=64, data_range=1.0):

@@ -147,9 +147,7 @@ def test_oracle_equivalence():
                             l1_naive(ximg, yimg)))
     worst = max(worst, _rel(l1_error(ximg, yimg), l1_naive(ximg, yimg)))
     worst = max(worst, _rel(nmse(ximg, yimg), nmse_naive(ximg, yimg)))
-    for mode in ("standard", "root_mse"):
-        worst = max(worst, _rel(psnr(ximg, yimg, mode=mode),
-                                psnr_naive(ximg, yimg, mode=mode)))
+    worst = max(worst, _rel(psnr(ximg, yimg), psnr_naive(ximg, yimg)))
     worst = max(worst, _rel(mutual_information(ximg, yimg),
                             mi_naive(ximg, yimg)))
 
@@ -318,7 +316,7 @@ def test_format_robustness(tmp_path):
     restore_model_state(model2, state)
     restore_optimizer_state(opt2, state)
     ck2 = str(tmp_path / "two.hqic")
-    save_checkpoint(ck2, model2, opt2, state.config, state.epoch, state.step,
+    save_checkpoint(ck2, model2, opt2, state.config.to_dict(), state.epoch, state.step,
                     state.rng_state, state.best_val)
     ckpt_raw = Path(ck1).read_bytes()
     ckpt_ok = ckpt_raw == Path(ck2).read_bytes()
@@ -393,12 +391,11 @@ def test_denoising_improvement(tmp_path_factory):
     cfg.strict_determinism = True
     result = train(cfg)
     minutes = (time.perf_counter() - t0) / 60.0
-    low_rep, model_rep = evaluate(result.best_path, data_dir, str(root / "eval"))
-    d_psnr = model_rep.mean["psnr_db"] - low_rep.mean["psnr_db"]
-    d_mi = model_rep.mean["mi"] - low_rep.mean["mi"]
+    report = evaluate(result.best_path, data_dir, str(root / "eval"))
+    d_psnr, d_mi = report["delta"]["psnr_db"], report["delta"]["mi"]
     ok = d_psnr >= 2.0 and d_mi > 0.0 and minutes <= 30.0
     _gate("denoising improvement", ok,
-          f"held-out PSNR {low_rep.mean['psnr_db']:.2f} -> "
-          f"{model_rep.mean['psnr_db']:.2f} dB (delta {d_psnr:+.2f}, needs "
+          f"held-out PSNR {report['low_dose']['psnr_db']['mean']:.2f} -> "
+          f"{report['model']['psnr_db']['mean']:.2f} dB (delta {d_psnr:+.2f}, needs "
           f">= +2.00), MI delta {d_mi:+.4f} (needs > 0), generate+train "
           f"{minutes:.1f} min (budget 30)")

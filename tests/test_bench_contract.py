@@ -1,10 +1,14 @@
 """The benchmark's tracer wraps package attributes by name and reads the
 arguments of the ops it wraps; this checks that every name it wraps still
 exists and that it reads every conv a model step makes, without timing
-anything."""
+anything. It also runs each benchmark workload once at toy size and checks
+that its outputs pass and it reports every end-to-end metric."""
 
 import importlib.util
+import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,7 +19,10 @@ from hqinet.network import build_model
 from hqinet.runconfig import RunConfig
 from hqinet.tensor import Tensor
 
-TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TRACER = os.path.join(ROOT, "perfbench", "tracer.py")
+with open(os.path.join(ROOT, "BENCHMARK.json")) as _f:
+    SPEC = json.load(_f)
 
 
 def _load_tracer():
@@ -82,3 +89,16 @@ def test_every_conv_of_an_inference_forward_is_traced(traced):
         model(x)
     assert calls
     assert _conv_spans(tracer) == (len(calls), 0)
+
+
+@pytest.mark.parametrize("workload", [w["name"] for w in SPEC["workloads"]])
+def test_toy_workload_is_correct_and_reports_end_to_end_metrics(workload):
+    proc = subprocess.run(
+        [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
+         "--seed", "3", "--size", "toy", "--seconds", "0.2", "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0
+    for m in SPEC["end_to_end"]:
+        assert result["metrics"][m["name"]]["value"] > 0, m["name"]

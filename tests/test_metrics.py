@@ -1,5 +1,6 @@
 """Metric values against direct-summation oracles and closed forms."""
 
+import json
 import math
 
 import numpy as np
@@ -26,11 +27,10 @@ class TestOracleEquivalence:
         got, want = nmse(x, y), nmse_naive(x, y)
         assert abs(got - want) / want < 1e-10
 
-    @pytest.mark.parametrize("mode", ["standard", "root_mse"])
-    def test_psnr(self, mode):
+    def test_psnr(self):
         x, y = img((8, 8), 4), img((8, 8), 5)
-        got = psnr(x, y, mode=mode)
-        want = psnr_naive(x, y, mode=mode)
+        got = psnr(x, y)
+        want = psnr_naive(x, y)
         assert abs(got - want) / abs(want) < 1e-10
 
     def test_mi(self):
@@ -60,13 +60,6 @@ class TestClosedForms:
     def test_psnr_identical_is_infinite(self):
         x = img((8, 8), 10)
         assert psnr(x, x) == math.inf
-
-    def test_psnr_modes_related_by_half_mse_term(self):
-        # peak^2/sqrt(mse) vs peak^2/mse: literal = standard/2 + 10log10(peak^2)/2
-        x, y = img((8, 8), 11), img((8, 8), 12)
-        s = psnr(x, y, peak=1.0)
-        lit = psnr(x, y, mode="root_mse", peak=1.0)
-        assert lit == pytest.approx(s / 2.0, abs=1e-10)
 
     def test_psnr_default_peak_is_reference_max(self):
         x, y = img((8, 8), 13), img((8, 8), 14) * 0.5
@@ -116,10 +109,8 @@ class TestValidation:
         with pytest.raises(ValueError):
             nmse(np.ones((2, 2)), np.zeros((2, 2)))
 
-    def test_psnr_bad_mode_and_peak(self):
+    def test_psnr_bad_peak(self):
         x = img((4, 4), 22)
-        with pytest.raises(ValueError):
-            psnr(x, x, mode="nope")
         with pytest.raises(ValueError):
             psnr(x, np.zeros((4, 4)))  # default peak = ref.max() = 0
 
@@ -137,26 +128,27 @@ class TestReport:
         preds = [np.clip(r + 0.05 * img((8, 8), 30 + i), 0, 1)
                  for i, r in enumerate(refs)]
         rep = metrics_report(preds, refs)
-        assert rep.n == 3
+        assert rep["n"] == 3
         for key in METRIC_KEYS:
-            vals = rep.per_image[key]
-            assert rep.mean[key] == pytest.approx(float(np.mean(vals)))
-            assert rep.std[key] == pytest.approx(float(np.std(vals, ddof=1)))
-        assert rep.per_image["l1"][0] == pytest.approx(
+            vals = rep["per_image"][key]
+            assert rep[key]["mean"] == pytest.approx(float(np.mean(vals)))
+            assert rep[key]["std"] == pytest.approx(float(np.std(vals, ddof=1)))
+        assert rep["per_image"]["l1"][0] == pytest.approx(
             l1_error(preds[0], refs[0]))
 
     def test_single_pair_std_zero(self):
         rep = metrics_report([img((8, 8), 27)], [img((8, 8), 28)])
-        assert rep.n == 1
-        assert all(rep.std[k] == 0.0 for k in METRIC_KEYS)
+        assert rep["n"] == 1
+        assert all(rep[k]["std"] == 0.0 for k in METRIC_KEYS)
 
     def test_json_dict_fields(self):
-        rep = metrics_report([img((8, 8), 29)], [img((8, 8), 31)])
-        d = rep.to_json_dict()
+        d = metrics_report([img((8, 8), 29)], [img((8, 8), 31)])
+        assert set(d) == {"n", "per_image", *METRIC_KEYS}
         assert d["n"] == 1
         for key in ("l1", "nmse", "psnr_db", "mi"):
             assert set(d[key]) == {"mean", "std"}
         assert set(d["per_image"]) == set(METRIC_KEYS)
+        assert json.loads(json.dumps(d)) == d
 
     def test_errors(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -188,15 +189,14 @@ class TestCheckpointFormat:
         path = self._trained(data_dir, tmp_path)
         original = Path(path).read_bytes()
         state = load_checkpoint(path)
-        cfg = RunConfig.from_dict(state.config)
-        model = build_model(cfg.model)
+        model = build_model(state.config.model)
         optimizer = Adam(list(model.named_parameters()), lr=state.adam["lr"],
                          beta1=state.adam["beta1"], beta2=state.adam["beta2"],
                          epsilon=state.adam["epsilon"])
         restore_model_state(model, state)
         restore_optimizer_state(optimizer, state)
         path2 = str(tmp_path / "resaved.hqic")
-        save_checkpoint(path2, model, optimizer, state.config, state.epoch,
+        save_checkpoint(path2, model, optimizer, state.config.to_dict(), state.epoch,
                         state.step, state.rng_state, state.best_val)
         assert Path(path2).read_bytes() == original
 
@@ -204,7 +204,7 @@ class TestCheckpointFormat:
         path = self._trained(data_dir, tmp_path)
         before = Path(path).read_bytes()
         state = load_checkpoint(path)
-        model = build_model(RunConfig.from_dict(state.config).model)
+        model = build_model(state.config.model)
         optimizer = Adam(list(model.named_parameters()), lr=1e-3)
 
         real = ckpt.atomic_write
@@ -229,7 +229,7 @@ class TestCheckpointFormat:
 
         monkeypatch.setattr(ckpt, "atomic_write", failing_write)
         with pytest.raises(OSError, match="disk full"):
-            save_checkpoint(path, model, optimizer, state.config, 9, 99,
+            save_checkpoint(path, model, optimizer, state.config.to_dict(), 9, 99,
                             state.rng_state)
         assert Path(path).read_bytes() == before
         assert not [n for n in os.listdir(os.path.dirname(path)) if n.endswith(".tmp")]
@@ -240,10 +240,9 @@ class TestCheckpointFormat:
         assert state.step == 2
         assert state.adam["step_count"] == 2
         assert state.rng_state["bit_generator"] == "PCG64"
-        assert state.config["seed"] == 0
+        assert state.config.seed == 0
         assert set(state.buffers) == {
-            n for n, _ in build_model(
-                RunConfig.from_dict(state.config).model).named_buffers()}
+            n for n, _ in build_model(state.config.model).named_buffers()}
 
     def test_restore_names_first_mismatch(self, data_dir, tmp_path):
         state = load_checkpoint(self._trained(data_dir, tmp_path))
@@ -265,7 +264,7 @@ class TestCheckpointFormat:
 
     def test_optimizer_restore_shape_guard(self, data_dir, tmp_path):
         state = load_checkpoint(self._trained(data_dir, tmp_path))
-        model = build_model(RunConfig.from_dict(state.config).model)
+        model = build_model(state.config.model)
         opt = Adam(list(model.named_parameters()), lr=0.001)
         state.moments_m["stem.unit1.conv.weight"] = np.zeros((1, 1, 1, 1))
         with pytest.raises(CheckpointShapeError):
@@ -273,14 +272,12 @@ class TestCheckpointFormat:
 
     def test_check_model_config(self, data_dir, tmp_path):
         state = load_checkpoint(self._trained(data_dir, tmp_path))
-        same = RunConfig.from_dict(state.config)
-        check_model_config(same.to_dict(), state)  # no error
-        other = RunConfig.from_dict(state.config)
-        other.model = ModelConfig(width_multiplier=0.5,
-                                  stage_block_counts=(1, 1, 1, 1),
-                                  aspp_rates=(1, 2, 3))
+        check_model_config(RunConfig.from_dict(state.config.to_dict()), state)  # no error
+        other = replace(state.config, model=ModelConfig(width_multiplier=0.5,
+                                                        stage_block_counts=(1, 1, 1, 1),
+                                                        aspp_rates=(1, 2, 3)))
         with pytest.raises(ConfigError):
-            check_model_config(other.to_dict(), state)
+            check_model_config(other, state)
 
     def _corrupt(self, path, tmp_path, mutate):
         raw = bytearray(Path(path).read_bytes())
@@ -326,15 +323,16 @@ def run(data_dir, tmp_path_factory):
 class TestEvaluateAndReconstruct:
     def test_evaluate_reports(self, data_dir, run, tmp_path):
         out = tmp_path / "eval"
-        low_rep, model_rep = evaluate(run.last_path, data_dir, str(out))
+        returned = evaluate(run.last_path, data_dir, str(out))
         text = (out / "report.txt").read_text()
         lines = text.splitlines()
         assert lines[1].startswith("Low-dose")
         assert lines[2].startswith("HQINet")
         report = json.loads((out / "report.json").read_text())
+        assert report == returned
         assert set(report) == {"low_dose", "model", "delta"}
         assert report["delta"]["psnr_db"] == pytest.approx(
-            model_rep.mean["psnr_db"] - low_rep.mean["psnr_db"])
+            report["model"]["psnr_db"]["mean"] - report["low_dose"]["psnr_db"]["mean"])
         # 1 test patient x 2 interior slices
         assert report["model"]["n"] == 2
 
@@ -756,6 +754,35 @@ class TestCLI:
             assert main(["train", "--config", cfg_path, "--resume", bad]) == 3
             assert "header" in capsys.readouterr().err
 
+    def test_undecodable_config_in_checkpoint_exit_code(self, run, data_dir, tmp_path,
+                                                         capsys):
+        # The fault is in the checkpoint, not the user's config: a data error.
+        raw = Path(run.last_path).read_bytes()
+        magic, version, head_len = ckpt._PREFIX.unpack_from(raw)
+        start = ckpt._PREFIX.size
+        bad = str(tmp_path / "bad.hqic")
+        low = os.path.join(data_dir, "test", "p002_low.hqiv")
+        cfg_path = self._write_config(tmp_path, data_dir, str(tmp_path / "resumed"), epochs=1)
+        for mutate in (lambda c: c.__setitem__("batch_size", 0),
+                       lambda c: c.__setitem__("unknown_key", 1),
+                       lambda c: c["model"].__setitem__("width_multiplier", -1.0)):
+            header = json.loads(raw[start:start + head_len])
+            mutate(header["config"])
+            head = json.dumps(header).encode()
+            with open(bad, "wb") as f:
+                f.write(ckpt._PREFIX.pack(magic, version, len(head)) + head
+                        + raw[start + head_len:])
+            with pytest.raises(CheckpointError, match="run config"):
+                load_checkpoint(bad)
+            for argv in (["eval", "--checkpoint", bad, "--data", data_dir,
+                          "--out", str(tmp_path / "eval")],
+                         ["reconstruct", "--checkpoint", bad, "--input", low,
+                          "--out", str(tmp_path / "recon")],
+                         ["train", "--config", cfg_path, "--resume", bad]):
+                assert main(argv) == 3, argv
+                assert "data error" in capsys.readouterr().err
+        assert not (tmp_path / "eval").exists() and not (tmp_path / "recon").exists()
+
     def test_out_of_range_adam_header_exit_code(self, run, data_dir, tmp_path, capsys):
         raw = Path(run.last_path).read_bytes()
         magic, version, head_len = ckpt._PREFIX.unpack_from(raw)
@@ -799,7 +826,7 @@ class TestCLI:
                     + raw[start + head_len:])
         state = load_checkpoint(bad)
         with pytest.raises(CheckpointShapeError, match=f"buffer {name}"):
-            restore_model_state(build_model(RunConfig.from_dict(state.config).model), state)
+            restore_model_state(build_model(state.config.model), state)
         low = os.path.join(data_dir, "test", "p002_low.hqiv")
         assert main(["reconstruct", "--checkpoint", bad, "--input", low,
                      "--out", str(tmp_path / "recon")]) == 3
@@ -817,13 +844,13 @@ class TestCLI:
     def test_nonfinite_model_output_is_numeric_error(self, run, data_dir, tmp_path,
                                                      capsys):
         state = load_checkpoint(run.last_path)
-        model = build_model(RunConfig.from_dict(state.config).model)
+        model = build_model(state.config.model)
         restore_model_state(model, state)
         optimizer = Adam(list(model.named_parameters()), lr=1e-3)
         restore_optimizer_state(optimizer, state)
         dict(model.named_parameters())["head.out.weight"].data[0, 0, 0, 0] = np.nan
         bad = str(tmp_path / "nan.hqic")
-        save_checkpoint(bad, model, optimizer, state.config, state.epoch, state.step,
+        save_checkpoint(bad, model, optimizer, state.config.to_dict(), state.epoch, state.step,
                         state.rng_state, state.best_val)
         out = tmp_path / "eval"
         assert main(["eval", "--checkpoint", bad, "--data", data_dir,

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .optim import check_adam_settings
 from .runconfig import RunConfig
 from .volume_io import atomic_write
 
@@ -38,10 +37,9 @@ __all__ = [
 MAGIC = b"HQIC"
 FORMAT_VERSION = 1
 _PREFIX = struct.Struct("<4sHI")
-_HEADER_KEYS = ("config", "epoch", "step", "best_val", "rng", "adam", "params",
-                "buffers")
-# The optimizer attributes a checkpoint's "adam" header field holds.
-_ADAM_KEYS = ("lr", "beta1", "beta2", "epsilon", "step_count")
+# Run settings are stored once, in "config"; a resumed run takes them from the
+# config it is given.
+_HEADER_KEYS = ("config", "epoch", "step", "best_val", "rng", "params", "buffers")
 
 
 class CheckpointError(DataError):
@@ -73,7 +71,6 @@ class CheckpointState:
     step: int
     best_val: float | None
     rng_state: dict
-    adam: dict
     params: dict
     moments_m: dict
     moments_v: dict
@@ -103,7 +100,6 @@ def save_checkpoint(path, model, optimizer, config_dict, epoch, step,
         "step": int(step),
         "best_val": best_val,
         "rng": rng_state,
-        "adam": {key: getattr(optimizer, key) for key in _ADAM_KEYS},
         "params": sections[0][0],
         "buffers": sections[3][0],
     }
@@ -129,18 +125,13 @@ def _well_formed(meta):
 
 
 def _resumable(header):
-    """True when counters, best value, Adam and RNG state can be restored."""
-    adam, num = header["adam"], (int, float)
+    """True when counters, best value and RNG state can be restored."""
     try:
         np.random.PCG64(0).state = header["rng"]
-        check_adam_settings(adam["lr"], adam["beta1"], adam["beta2"], adam["epsilon"])
     except (TypeError, ValueError, KeyError, OverflowError):
         return False
-    return (isinstance(adam, dict)
-            and all(type(v) is int and v >= 0
-                    for v in (header["epoch"], header["step"], adam.get("step_count")))
-            and (header["best_val"] is None or type(header["best_val"]) in num)
-            and all(type(adam[k]) in num for k in _ADAM_KEYS))
+    return (all(type(header[k]) is int and header[k] >= 0 for k in ("epoch", "step"))
+            and (header["best_val"] is None or type(header["best_val"]) in (int, float)))
 
 
 def load_checkpoint(path):
@@ -193,7 +184,7 @@ def load_checkpoint(path):
             f"{path}: {len(raw) - offset} unexpected trailing bytes")
     return CheckpointState(
         config=config, epoch=header["epoch"], step=header["step"],
-        best_val=header["best_val"], rng_state=header["rng"], adam=header["adam"],
+        best_val=header["best_val"], rng_state=header["rng"],
         params=params, moments_m=moments_m, moments_v=moments_v, buffers=buffers)
 
 
@@ -235,8 +226,8 @@ def restore_optimizer_state(optimizer, state: CheckpointState):
     for store, saved in stores:
         for name in store:
             store[name] = saved[name].astype(store[name].dtype, copy=True)
-    for key in _ADAM_KEYS:
-        setattr(optimizer, key, state.adam[key])
+    # Adam takes one step per logged step; its settings stay as constructed.
+    optimizer.step_count = state.step
 
 
 def check_model_config(config: RunConfig, state: CheckpointState):

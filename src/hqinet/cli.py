@@ -23,22 +23,25 @@ EXIT_NUMERIC = 4
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON run config; defaults to the desk preset")
-    common.add_argument("--seed", type=int, help="override the config seed")
     common.add_argument("--out", help="override the output directory")
-    common.add_argument("--force", action="store_true",
-                        help="allow writing into a non-empty directory")
-    common.add_argument("--strict-determinism", action="store_true",
-                        help="bit-reproducible logs (wall times written as 0)")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, help="override the config seed")
 
     parser = argparse.ArgumentParser(
         prog="hqinet",
         description="Low-dose CT reconstruction: synthetic data generation, "
                     "training, evaluation, and volume reconstruction.")
+    # The verbs without --seed or --strict-determinism read these defaults.
+    parser.set_defaults(seed=None, strict_determinism=False)
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("generate", parents=[common],
-                   help="write the synthetic train/test dataset")
-    p_train = sub.add_parser("train", parents=[common], help="train a model")
+    p_gen = sub.add_parser("generate", parents=[common, seeded],
+                           help="write the synthetic train/test dataset")
+    p_gen.add_argument("--force", action="store_true",
+                       help="allow writing into a non-empty directory")
+    p_train = sub.add_parser("train", parents=[common, seeded], help="train a model")
     p_train.add_argument("--resume", help="checkpoint to continue from")
+    p_train.add_argument("--strict-determinism", action="store_true",
+                         help="bit-reproducible logs (wall times written as 0)")
     p_eval = sub.add_parser("eval", parents=[common],
                             help="metric report on a dataset split")
     p_eval.add_argument("--checkpoint", required=True)

@@ -87,7 +87,7 @@ def _value_paths(header):
             for key in node:
                 walk(node[key], path + (key,))
 
-    for key in ("adam", "rng", "epoch", "step", "best_val", "config"):
+    for key in ("rng", "epoch", "step", "best_val", "config"):
         walk(header[key], (key,))
     return paths
 

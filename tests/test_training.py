@@ -48,6 +48,20 @@ def make_config(data_dir, out_dir, epochs=2, seed=0, lr=1e-3, strict=True):
                      output_dir=str(out_dir), strict_determinism=strict)
 
 
+def _rewrite_header(src, dst, mutate):
+    """Write checkpoint ``src`` to ``dst`` with ``mutate`` applied to its
+    decoded header and the blobs unchanged; returns ``dst`` as a str."""
+    raw = Path(src).read_bytes()
+    magic, version, head_len = ckpt._PREFIX.unpack_from(raw)
+    start = ckpt._PREFIX.size
+    header = json.loads(raw[start:start + head_len])
+    mutate(header)
+    head = json.dumps(header).encode()
+    with open(dst, "wb") as f:
+        f.write(ckpt._PREFIX.pack(magic, version, len(head)) + head + raw[start + head_len:])
+    return str(dst)
+
+
 class _Killed(BaseException):
     """Stands in for a kill: ``except Exception`` does not catch it."""
 
@@ -108,6 +122,22 @@ class TestTrainLoop:
         for name, arr in a.moments_m.items():
             assert np.array_equal(arr, b.moments_m[name]), name
         assert a.rng_state == b.rng_state
+
+    def test_resume_takes_optimizer_settings_from_config(self, data_dir, tmp_path):
+        part = train(make_config(data_dir, tmp_path / "part", epochs=1))
+        logs = {}
+        for lr in (1e-3, 5e-2):
+            run_dir = tmp_path / f"lr_{lr}"
+            shutil.copytree(tmp_path / "part", run_dir)
+            train(make_config(data_dir, run_dir, epochs=3, lr=lr), resume=part.last_path)
+            logs[lr] = (run_dir / "loss_log.csv").read_text().splitlines()
+            assert load_checkpoint(run_dir / "last.hqic").config.optimizer.lr == lr
+        # A step logs its loss before its update: rows up to step 3 agree,
+        # and every later row follows an update at the new lr.
+        same, new = logs[1e-3], logs[5e-2]
+        assert len(same) == len(new) == 1 + 6
+        assert same[:4] == new[:4]
+        assert all(a != b for a, b in zip(same[4:], new[4:]))
 
     def test_resume_from_earlier_epoch_drops_later_rows(self, data_dir, tmp_path):
         cfg = make_config(data_dir, tmp_path / "run")
@@ -190,11 +220,13 @@ class TestCheckpointFormat:
         original = Path(path).read_bytes()
         state = load_checkpoint(path)
         model = build_model(state.config.model)
-        optimizer = Adam(list(model.named_parameters()), lr=state.adam["lr"],
-                         beta1=state.adam["beta1"], beta2=state.adam["beta2"],
-                         epsilon=state.adam["epsilon"])
+        settings = state.config.optimizer
+        optimizer = Adam(list(model.named_parameters()), lr=settings.lr,
+                         beta1=settings.beta1, beta2=settings.beta2,
+                         epsilon=settings.epsilon)
         restore_model_state(model, state)
         restore_optimizer_state(optimizer, state)
+        assert optimizer.step_count == state.step
         path2 = str(tmp_path / "resaved.hqic")
         save_checkpoint(path2, model, optimizer, state.config.to_dict(), state.epoch,
                         state.step, state.rng_state, state.best_val)
@@ -238,11 +270,35 @@ class TestCheckpointFormat:
         state = load_checkpoint(self._trained(data_dir, tmp_path))
         assert state.epoch == 1
         assert state.step == 2
-        assert state.adam["step_count"] == 2
+        assert state.config.optimizer == OptimizerConfig(lr=1e-3)
         assert state.rng_state["bit_generator"] == "PCG64"
         assert state.config.seed == 0
         assert set(state.buffers) == {
             n for n, _ in build_model(state.config.model).named_buffers()}
+
+    def test_header_holds_each_field_once(self, data_dir, tmp_path):
+        # Settings are in "config" alone; a second copy must be added on purpose.
+        raw = Path(self._trained(data_dir, tmp_path)).read_bytes()
+        _, _, head_len = ckpt._PREFIX.unpack_from(raw)
+        header = json.loads(raw[ckpt._PREFIX.size:ckpt._PREFIX.size + head_len])
+        assert set(header) == {"config", "epoch", "step", "best_val", "rng", "params", "buffers"}
+
+    def test_header_with_former_adam_field_resumes_alike(self, data_dir, tmp_path):
+        # Checkpoints written before the header lost its "adam" copy of the
+        # optimizer settings and step count still load and resume the same.
+        part = train(make_config(data_dir, tmp_path / "part", epochs=1))
+
+        def add_adam(header):
+            header["adam"] = dict(header["config"]["optimizer"], step_count=header["step"])
+
+        old = _rewrite_header(part.last_path, tmp_path / "old.hqic", add_adam)
+        assert load_checkpoint(old).step == load_checkpoint(part.last_path).step == 2
+        logs = []
+        for name, resume in (("new", part.last_path), ("old", old)):
+            shutil.copytree(tmp_path / "part", tmp_path / name)
+            train(make_config(data_dir, tmp_path / name, epochs=2), resume=resume)
+            logs.append((tmp_path / name / "loss_log.csv").read_bytes())
+        assert logs[0] == logs[1]
 
     def test_restore_names_first_mismatch(self, data_dir, tmp_path):
         state = load_checkpoint(self._trained(data_dir, tmp_path))
@@ -716,25 +772,15 @@ class TestCLI:
         assert not run_dir.exists() or not any(run_dir.iterdir())
 
     def test_malformed_checkpoint_header_exit_code(self, run, data_dir, tmp_path, capsys):
-        raw = Path(run.last_path).read_bytes()
-        magic, version, head_len = ckpt._PREFIX.unpack_from(raw)
-        start = ckpt._PREFIX.size
         bad = str(tmp_path / "bad.hqic")
 
         def write(mutate):
-            header = json.loads(raw[start:start + head_len])
-            mutate(header)
-            head = json.dumps(header).encode()
-            with open(bad, "wb") as f:
-                f.write(ckpt._PREFIX.pack(magic, version, len(head)) + head
-                        + raw[start + head_len:])
+            _rewrite_header(run.last_path, bad, mutate)
 
-        for mutate in (lambda h: h.pop("adam"), lambda h: h.pop("buffers"),
+        for mutate in (lambda h: h.pop("buffers"),
                        lambda h: h["params"][0].__setitem__(1, [-1]),
                        lambda h: h["params"][0].__setitem__(2, "<i4"),
                        lambda h: h["buffers"][0].pop(),
-                       lambda h: h["adam"].pop("step_count"),
-                       lambda h: h["adam"].__setitem__("lr", "1e-3"),
                        lambda h: h["rng"].__setitem__("bit_generator", "MT19937"),
                        lambda h: h["rng"].__setitem__("state", 5),
                        lambda h: h.__setitem__("epoch", 1.0),
@@ -743,12 +789,11 @@ class TestCLI:
             write(mutate)
             with pytest.raises(CheckpointError):
                 load_checkpoint(bad)
-        write(lambda h: h.pop("adam"))
+        write(lambda h: h.pop("buffers"))
         assert main(["eval", "--checkpoint", bad, "--out", str(tmp_path / "eval")]) == 3
         assert "header" in capsys.readouterr().err
         cfg_path = self._write_config(tmp_path, data_dir, str(tmp_path / "resumed"), epochs=1)
-        for mutate in (lambda h: h["adam"].pop("step_count"),
-                       lambda h: h["rng"].__setitem__("bit_generator", "MT19937"),
+        for mutate in (lambda h: h["rng"].__setitem__("bit_generator", "MT19937"),
                        lambda h: h.__setitem__("epoch", "1")):
             write(mutate)
             assert main(["train", "--config", cfg_path, "--resume", bad]) == 3
@@ -757,21 +802,13 @@ class TestCLI:
     def test_undecodable_config_in_checkpoint_exit_code(self, run, data_dir, tmp_path,
                                                          capsys):
         # The fault is in the checkpoint, not the user's config: a data error.
-        raw = Path(run.last_path).read_bytes()
-        magic, version, head_len = ckpt._PREFIX.unpack_from(raw)
-        start = ckpt._PREFIX.size
         bad = str(tmp_path / "bad.hqic")
         low = os.path.join(data_dir, "test", "p002_low.hqiv")
         cfg_path = self._write_config(tmp_path, data_dir, str(tmp_path / "resumed"), epochs=1)
         for mutate in (lambda c: c.__setitem__("batch_size", 0),
                        lambda c: c.__setitem__("unknown_key", 1),
                        lambda c: c["model"].__setitem__("width_multiplier", -1.0)):
-            header = json.loads(raw[start:start + head_len])
-            mutate(header["config"])
-            head = json.dumps(header).encode()
-            with open(bad, "wb") as f:
-                f.write(ckpt._PREFIX.pack(magic, version, len(head)) + head
-                        + raw[start + head_len:])
+            _rewrite_header(run.last_path, bad, lambda h: mutate(h["config"]))
             with pytest.raises(CheckpointError, match="run config"):
                 load_checkpoint(bad)
             for argv in (["eval", "--checkpoint", bad, "--data", data_dir,
@@ -784,9 +821,6 @@ class TestCLI:
         assert not (tmp_path / "eval").exists() and not (tmp_path / "recon").exists()
 
     def test_out_of_range_adam_header_exit_code(self, run, data_dir, tmp_path, capsys):
-        raw = Path(run.last_path).read_bytes()
-        magic, version, head_len = ckpt._PREFIX.unpack_from(raw)
-        start = ckpt._PREFIX.size
         run_dir = tmp_path / "run"
         shutil.copytree(os.path.dirname(run.last_path), run_dir)
         logs = {n: (run_dir / n).read_bytes() for n in ("loss_log.csv", "val_log.csv")}
@@ -796,12 +830,8 @@ class TestCLI:
         for key, value in (("lr", 0.0), ("lr", -1.0), ("lr", float("inf")),
                            ("beta1", 1.0), ("beta1", -0.1),
                            ("beta2", 1.5), ("epsilon", 0.0), ("epsilon", -1e-8)):
-            header = json.loads(raw[start:start + head_len])
-            header["adam"][key] = value
-            head = json.dumps(header).encode()
-            with open(bad, "wb") as f:
-                f.write(ckpt._PREFIX.pack(magic, version, len(head)) + head
-                        + raw[start + head_len:])
+            _rewrite_header(run.last_path, bad,
+                            lambda h: h["config"]["optimizer"].__setitem__(key, value))
             with pytest.raises(CheckpointError):
                 load_checkpoint(bad)
             assert main(["train", "--config", cfg_path, "--resume", bad]) == 3, (key, value)
@@ -811,19 +841,14 @@ class TestCLI:
     def test_misshaped_buffer_checkpoint_exit_code(self, run, data_dir, tmp_path, capsys):
         # A buffer entry with another shape and dtype but the same byte
         # count loads, and restoring it is refused.
-        raw = Path(run.last_path).read_bytes()
-        magic, version, head_len = ckpt._PREFIX.unpack_from(raw)
-        start = ckpt._PREFIX.size
-        header = json.loads(raw[start:start + head_len])
         name = "stem.unit1.bn.running_mean"
-        entry = next(e for e in header["buffers"] if e[0] == name)
-        assert entry[2] == "<f4" and entry[1][0] % 2 == 0
-        entry[1:] = [[entry[1][0] // 2], "<f8"]
-        head = json.dumps(header).encode()
-        bad = str(tmp_path / "bad.hqic")
-        with open(bad, "wb") as f:
-            f.write(ckpt._PREFIX.pack(magic, version, len(head)) + head
-                    + raw[start + head_len:])
+
+        def halve(header):
+            entry = next(e for e in header["buffers"] if e[0] == name)
+            assert entry[2] == "<f4" and entry[1][0] % 2 == 0
+            entry[1:] = [[entry[1][0] // 2], "<f8"]
+
+        bad = _rewrite_header(run.last_path, tmp_path / "bad.hqic", halve)
         state = load_checkpoint(bad)
         with pytest.raises(CheckpointShapeError, match=f"buffer {name}"):
             restore_model_state(build_model(state.config.model), state)
@@ -927,3 +952,14 @@ class TestCLI:
         c = (tmp_path / "d3" / "train" / "p000_low.hqiv").read_bytes()
         assert a == b
         assert a != c
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--checkpoint", "c.hqic", "--force"],
+        ["reconstruct", "--checkpoint", "c.hqic", "--input", "v.hqiv", "--seed", "1"],
+        ["generate", "--strict-determinism"],
+    ], ids=["eval-force", "reconstruct-seed", "generate-strict"])
+    def test_flag_a_verb_does_not_read_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

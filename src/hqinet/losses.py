@@ -65,9 +65,14 @@ class SsimParams:
             raise ValueError(f"c1, c2 must be > 0, got {self.c1}, {self.c2}")
 
 
+def _as_tensor(x):
+    """The loss entry points also take plain arrays, as constants."""
+    return x if isinstance(x, T.Tensor) else T.Tensor(x)
+
+
 def l1_loss(pred, ref):
     """Mean absolute difference over all elements."""
-    p, r = T._as_tensor(pred), T._as_tensor(ref)
+    p, r = _as_tensor(pred), _as_tensor(ref)
     if p.data.shape != r.data.shape:
         raise ValueError(f"shape mismatch: {p.data.shape} vs {r.data.shape}")
     return T.tmean(T.absolute(T.sub(p, r)))
@@ -93,7 +98,7 @@ def ssim(pred, ref, params: SsimParams = None):
     E[x^2] - E[x]^2 over the window weights."""
     if params is None:
         params = SsimParams()
-    x, y = T._as_tensor(pred), T._as_tensor(ref)
+    x, y = _as_tensor(pred), _as_tensor(ref)
     xd, yd = x.data, y.data
     if xd.ndim not in (2, 4):
         raise ValueError(f"expected a 2-d image or (n,c,h,w) batch, got shape {xd.shape}")

@@ -21,6 +21,7 @@ __all__ = [
 ]
 
 METRIC_KEYS = ("l1", "nmse", "psnr_db", "mi")
+MI_BINS = 64  # mutual_information's bins per axis over [0, 1]
 
 
 def _pair(pred, ref):
@@ -45,12 +46,11 @@ def nmse(pred, ref):
     return float(np.sum((p - r) ** 2) / denom)
 
 
-def psnr(pred, ref, peak=None):
-    """Peak signal-to-noise ratio in dB, 10*log10(peak^2 / MSE); +inf for
-    identical images. ``peak`` defaults to the reference's maximum."""
+def psnr(pred, ref):
+    """Peak signal-to-noise ratio in dB, 10*log10(peak^2 / MSE) with the
+    reference's maximum as the peak; +inf for identical images."""
     p, r = _pair(pred, ref)
-    if peak is None:
-        peak = float(r.max())
+    peak = float(r.max())
     if peak <= 0:
         raise ValueError(f"peak must be > 0, got {peak}")
     mse = float(np.mean((p - r) ** 2))
@@ -59,21 +59,17 @@ def psnr(pred, ref, peak=None):
     return float(10.0 * math.log10(peak * peak / mse))
 
 
-def mutual_information(pred, ref, bins=64, data_range=1.0):
+def mutual_information(pred, ref):
     """Joint-histogram mutual information in nats, >= 0.
 
-    Intensities are clipped to [0, data_range] and binned into
-    ``bins`` equal-width bins per axis.
+    Intensities are clipped to [0, 1] and binned into ``MI_BINS``
+    equal-width bins per axis.
     """
-    if bins < 2:
-        raise ValueError(f"bins must be >= 2, got {bins}")
-    if data_range <= 0:
-        raise ValueError(f"data_range must be > 0, got {data_range}")
     p, r = _pair(pred, ref)
-    p = np.clip(p.ravel(), 0.0, data_range)
-    r = np.clip(r.ravel(), 0.0, data_range)
-    joint, _, _ = np.histogram2d(p, r, bins=bins,
-                                 range=[[0.0, data_range], [0.0, data_range]])
+    p = np.clip(p.ravel(), 0.0, 1.0)
+    r = np.clip(r.ravel(), 0.0, 1.0)
+    joint, _, _ = np.histogram2d(p, r, bins=MI_BINS,
+                                 range=[[0.0, 1.0], [0.0, 1.0]])
     joint = joint / joint.sum()
     px = joint.sum(axis=1)
     py = joint.sum(axis=0)

@@ -22,7 +22,6 @@ __all__ = [
 ]
 
 BN_MOMENTUM = 0.1  # BatchNorm2d's running-statistics update rate
-BN_EPSILON = 1e-5  # BatchNorm2d's variance floor
 INIT_STD = 0.01  # standard deviation of the conv weight init
 
 
@@ -150,27 +149,21 @@ class BatchNorm2d(Module):
             raise ValueError(f"expected {c} channels, got {x.data.shape[1]}")
         m = BN_MOMENTUM
         stats = None if self.training else (self.running_mean, self.running_var)
-        out, mean, var = T.batch_norm(x, self.gamma, self.beta, BN_EPSILON, stats)
+        out, mean, var = T.batch_norm(x, self.gamma, self.beta, stats)
         if self.training:
             self.running_mean = (1.0 - m) * self.running_mean + m * mean
             self.running_var = (1.0 - m) * self.running_var + m * var
         return out
 
 
-def init_truncated_gaussian(shape, mean=0.0, std=INIT_STD, seed=None, rng=None):
-    """float64 Gaussian draw with values outside ``mean +/- 2 std`` redrawn.
-
-    Deterministic for a fixed seed (or caller-supplied generator).
-    """
-    if std <= 0:
-        raise ValueError(f"std must be > 0, got {std}")
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    vals = rng.normal(mean, std, size=int(np.prod(shape)))
-    bad = np.abs(vals - mean) > 2.0 * std
+def init_truncated_gaussian(shape, rng):
+    """float64 zero-mean Gaussian draw with std ``INIT_STD`` from the
+    generator ``rng``, with values outside ``+/- 2 INIT_STD`` redrawn."""
+    vals = rng.normal(0.0, INIT_STD, size=int(np.prod(shape)))
+    bad = np.abs(vals) > 2.0 * INIT_STD
     while bad.any():
-        vals[bad] = rng.normal(mean, std, size=int(bad.sum()))
-        bad = np.abs(vals - mean) > 2.0 * std
+        vals[bad] = rng.normal(0.0, INIT_STD, size=int(bad.sum()))
+        bad = np.abs(vals) > 2.0 * INIT_STD
     return vals.reshape(shape)
 
 
@@ -184,7 +177,7 @@ def initialize_parameters(module, seed):
     for name, p in module.named_parameters():
         leaf = name.rsplit(".", 1)[-1]
         if leaf == "weight":
-            p.data = init_truncated_gaussian(p.data.shape, rng=rng).astype(p.data.dtype)
+            p.data = init_truncated_gaussian(p.data.shape, rng).astype(p.data.dtype)
         elif leaf == "gamma":
             p.data = np.ones_like(p.data)
         else:

@@ -15,6 +15,10 @@ Conventions:
       ``src = (dst + 0.5) * (in / out) - 0.5``, clamped to the edge.
     * all ops preserve the input floating dtype (float32 or float64 run
       through the same code paths).
+    * every operand is a ``Tensor`` (``conv2d`` also reads a
+      ``ChannelParts``); only the second operand of ``add``, ``sub``,
+      ``mul`` and ``div`` may instead be a Python ``int`` or ``float``,
+      which is a constant. Wrap an array in ``Tensor`` before passing it.
 """
 
 from __future__ import annotations
@@ -63,6 +67,8 @@ _GRAD_MODE = _GradMode()
 # conv2d accumulates its taps into bands of output rows whose input and
 # output rows take about this many bytes per sample, so a band stays in cache.
 _BAND_BYTES = 1 << 18
+
+BN_EPSILON = 1e-5  # batch_norm's variance floor
 
 
 class no_grad:
@@ -158,10 +164,6 @@ class Tensor:
                     node.grad = node.grad + g
 
 
-def _as_tensor(x):
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x))
-
-
 def _make(data, parents, backward_fn):
     """Wrap an op result, recording the graph only when it can matter."""
     out = Tensor(data)
@@ -186,15 +188,13 @@ def _unbroadcast(grad, shape):
 # -- elementwise arithmetic --------------------------------------------------
 
 
-def _operands(a, b):
-    """``a`` as a tensor, ``b``'s data, and ``b`` as a tensor or None. A Python
-    number ``b`` is a constant: it records no parent and stays a Python
-    scalar, so numpy keeps ``a``'s dtype."""
-    a = _as_tensor(a)
+def _operands(b):
+    """``b``'s data, and ``b`` as a tensor or None. A Python number ``b`` is
+    a constant: it records no parent and stays a Python scalar, so numpy
+    keeps the first operand's dtype."""
     if isinstance(b, (int, float)):
-        return a, b, None
-    b = _as_tensor(b)
-    return a, b.data, b
+        return b, None
+    return b.data, b
 
 
 def _binary(data, a, b, grad_a, grad_b):
@@ -213,17 +213,17 @@ def _binary(data, a, b, grad_a, grad_b):
 
 
 def add(a, b):
-    a, bd, b = _operands(a, b)
+    bd, b = _operands(b)
     return _binary(a.data + bd, a, b, lambda g: g, lambda g: g)
 
 
 def sub(a, b):
-    a, bd, b = _operands(a, b)
+    bd, b = _operands(b)
     return _binary(a.data - bd, a, b, lambda g: g, lambda g: -g)
 
 
 def mul(a, b):
-    a, bd, b = _operands(a, b)
+    bd, b = _operands(b)
     return _binary(a.data * bd, a, b, lambda g: g * bd, lambda g: g * a.data)
 
 
@@ -232,14 +232,12 @@ def div(a, b):
         # The reciprocal rounds differently from a true division; strict
         # loss logs are pinned to it.
         return mul(a, 1.0 / b)
-    a, bd, b = _operands(a, b)
+    bd, b = _operands(b)
     data = a.data / bd
     return _binary(data, a, b, lambda g: g / bd, lambda g: -g * data / bd)
 
 
 def neg(a):
-    a = _as_tensor(a)
-
     def bw(grad):
         return [(a, -grad)]
 
@@ -247,7 +245,6 @@ def neg(a):
 
 
 def sqrt(a):
-    a = _as_tensor(a)
     data = np.sqrt(a.data)
 
     def bw(grad):
@@ -257,7 +254,6 @@ def sqrt(a):
 
 
 def absolute(a):
-    a = _as_tensor(a)
     data = np.abs(a.data)
 
     def bw(grad):
@@ -268,7 +264,6 @@ def absolute(a):
 
 
 def relu(a):
-    a = _as_tensor(a)
     data = np.maximum(a.data, 0)
 
     def bw(grad):
@@ -278,7 +273,6 @@ def relu(a):
 
 
 def sigmoid(a):
-    a = _as_tensor(a)
     x = a.data
     data = np.empty_like(x)
     pos = x >= 0
@@ -296,7 +290,6 @@ def sigmoid(a):
 
 
 def reshape(a, shape):
-    a = _as_tensor(a)
     orig = a.data.shape
     data = a.data.reshape(shape)
 
@@ -317,7 +310,6 @@ def _expand_reduced(grad, shape, axis, keepdims):
 
 
 def tsum(a, axis=None, keepdims=False):
-    a = _as_tensor(a)
     data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def bw(grad):
@@ -327,7 +319,6 @@ def tsum(a, axis=None, keepdims=False):
 
 
 def tmean(a, axis=None, keepdims=False):
-    a = _as_tensor(a)
     data = a.data.mean(axis=axis, keepdims=keepdims)
     count = a.data.size // max(data.size, 1)
 
@@ -357,8 +348,7 @@ def conv2d(x, weight, bias=None, stride=1, dilation=1, groups=1, zero_padding=0)
     tensor reads it in place. The backward pass refills the bands from the
     input for the weight gradient, so the graph keeps no padded copy.
     """
-    parts = x.parts if isinstance(x, ChannelParts) else (_as_tensor(x),)
-    weight = _as_tensor(weight)
+    parts = x.parts if isinstance(x, ChannelParts) else (x,)
     wd = weight.data
 
     if parts[0].data.ndim != 4:
@@ -390,12 +380,10 @@ def conv2d(x, weight, bias=None, stride=1, dilation=1, groups=1, zero_padding=0)
             f"{h0 + 2 * zero_padding}x{w0 + 2 * zero_padding}"
         )
 
-    if bias is not None:
-        bias = _as_tensor(bias)
-        if bias.data.shape != (c_out,):
-            raise ValueError(
-                f"bias length expects output channels {c_out}, got {bias.data.shape}"
-            )
+    if bias is not None and bias.data.shape != (c_out,):
+        raise ValueError(
+            f"bias length expects output channels {c_out}, got {bias.data.shape}"
+        )
 
     g, cg, cog = groups, c_in // groups, c_out // groups
     s, d, p, h, w = stride, dilation, zero_padding, h0, w0
@@ -499,16 +487,15 @@ def conv2d(x, weight, bias=None, stride=1, dilation=1, groups=1, zero_padding=0)
     return _make(out, parents, bw)
 
 
-def batch_norm(x, gamma, beta, epsilon, stats=None):
-    """Per-channel ``gamma * (x - mean) / sqrt(var + epsilon) + beta`` over
+def batch_norm(x, gamma, beta, stats=None):
+    """Per-channel ``gamma * (x - mean) / sqrt(var + BN_EPSILON) + beta`` over
     ``(n, c, h, w)`` input as one scale and shift, with the batch's mean and
     biased variance over ``(n, h, w)`` or with constant ``stats = (mean, var)``.
     Returns ``(out, mean, var)``. The backward pass is closed form (Ioffe &
     Szegedy 2015) and recomputes ``xhat`` from ``x``."""
-    x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     xd, axes, col = x.data, (0, 2, 3), (1, -1, 1, 1)
     mean, var = (xd.mean(axis=axes), xd.var(axis=axes)) if stats is None else stats
-    inv = 1.0 / np.sqrt(var + epsilon)
+    inv = 1.0 / np.sqrt(var + BN_EPSILON)
     scale = gamma.data * inv
     out = xd * scale.reshape(col) + (beta.data - mean * scale).reshape(col)
 
@@ -545,7 +532,6 @@ def separable(x, ry, rx):
     ``ry`` ``(out_h, h)`` and ``rx`` ``(out_w, w)``: a linear map that factors
     over rows and columns, such as a resize or a separable window. The
     backward pass is ``ryᵀ · G · rx``."""
-    x = _as_tensor(x)
     out = np.matmul(np.matmul(ry, x.data), rx.T)
 
     def bw(grad):
@@ -558,7 +544,6 @@ def bilinear_upsample(x, out_h, out_w):
     """Bilinear resize to ``(out_h, out_w)`` with half-pixel centers,
     applied as one interpolation matrix per axis. A same-size resize is
     the identity and returns ``x`` itself."""
-    x = _as_tensor(x)
     xd = x.data
     if xd.ndim != 4:
         raise ValueError(f"bilinear_upsample input must be 4-D, got {xd.ndim}-D")
@@ -573,25 +558,23 @@ def bilinear_upsample(x, out_h, out_w):
 
 def global_avg_pool(x):
     """Spatial mean per channel, shape ``(n, c, 1, 1)``."""
-    x = _as_tensor(x)
     if x.data.ndim != 4:
         raise ValueError(f"global_avg_pool input must be 4-D, got {x.data.ndim}-D")
     return tmean(x, axis=(2, 3), keepdims=True)
 
 
 def _channel_parts(tensors):
-    """``tensors`` as a tuple of 4-D tensors that share ``(n, h, w)``."""
-    ts = tuple(_as_tensor(t) for t in tensors)
-    if not ts:
+    """The tuple ``tensors``, checked to hold 4-D tensors sharing ``(n, h, w)``."""
+    if not tensors:
         raise ValueError("channel concatenation needs at least one tensor")
-    first = ts[0].data.shape
-    for t in ts:
+    first = tensors[0].data.shape
+    for t in tensors:
         s = t.data.shape
         if len(s) != 4 or s[0] != first[0] or s[2:] != first[2:]:
             raise ValueError(
                 f"channel concatenation expects matching (n,h,w); got {first} vs {s}"
             )
-    return ts
+    return tensors
 
 
 class ChannelParts:
@@ -629,8 +612,6 @@ def concat_channels(*tensors):
 
 def mul_broadcast(x, gate):
     """Scale feature map ``x`` by a per-channel or per-pixel gate."""
-    x = _as_tensor(x)
-    gate = _as_tensor(gate)
     n, c, h, w = x.data.shape
     gs = gate.data.shape
     if gs not in ((n, c, 1, 1), (n, 1, h, w)):

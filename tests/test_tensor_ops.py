@@ -384,10 +384,14 @@ class TestBatchNorm:
     @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
     def test_matches_composition(self, mode, dtype, tol):
         x, gamma, beta, stats, weights = self._inputs(dtype, mode)
+
+        def naive(x, gamma, beta, stats):
+            return batch_norm_naive(x, gamma, beta, T.BN_EPSILON, stats)
+
         results = []
-        for fn in (T.batch_norm, batch_norm_naive):
+        for fn in (T.batch_norm, naive):
             leaves = [Tensor(a.copy(), requires_grad=True) for a in (x, gamma, beta)]
-            out, mean, var = fn(*leaves, 1e-5, stats)
+            out, mean, var = fn(*leaves, stats)
             T.tsum(T.mul(out, Tensor(weights))).backward()
             results.append([out.data] + [t.grad for t in leaves] + [mean, var])
         for got, want in zip(*results):
@@ -402,17 +406,17 @@ class TestBatchNorm:
         leaves = [Tensor(a, requires_grad=True) for a in (x, gamma, beta)]
 
         def fn():
-            out = T.batch_norm(*leaves, 1e-5, stats)[0]
+            out = T.batch_norm(*leaves, stats)[0]
             return T.tsum(T.mul(T.mul(out, out), Tensor(weights)))
 
         check(fn, leaves)
 
     def test_one_graph_node(self):
         leaves = [Tensor(a, requires_grad=True) for a in self._inputs(np.float64, "train")[:3]]
-        out = T.batch_norm(*leaves, 1e-5)[0]
+        out = T.batch_norm(*leaves)[0]
         assert out._parents == tuple(leaves)
         with T.no_grad():
-            assert T.batch_norm(*leaves, 1e-5)[0]._backward is None
+            assert T.batch_norm(*leaves)[0]._backward is None
 
 
 class TestStructuralOps:

@@ -22,11 +22,13 @@ from hqinet.checkpoint import (CheckpointError, CheckpointMagicError, Checkpoint
                                save_checkpoint)
 from hqinet.cli import main
 from hqinet.dataset import SyntheticSpec, generate_dataset, load_triplets, random_crop
-from hqinet.errors import ConfigError, NumericError
+from hqinet import tensor as T
+from hqinet.errors import ConfigError, DataError, NumericError
 from hqinet.losses import SsimParams
 from hqinet.network import ModelConfig, build_model
 from hqinet.optim import Adam
 from hqinet.runconfig import DataConfig, OptimizerConfig, RunConfig
+from hqinet.tensor import Tensor
 from hqinet.trainer import LOG_HEADER, evaluate, reconstruct, train
 from hqinet.volume_io import manifest_path, read_manifest, read_volume, write_volume
 
@@ -474,6 +476,49 @@ class TestRunConfig:
         assert cfg.model.width_multiplier == 1.0
 
 
+def _zeros(*shape):
+    return Tensor(np.zeros(shape))
+
+
+class TestArgumentChecks:
+    @pytest.mark.parametrize("call,message", [
+        (lambda: T.conv2d(_zeros(3, 8, 8), _zeros(4, 3, 3, 3)), "input must be 4-D"),
+        (lambda: T.conv2d(_zeros(1, 3, 8, 8), _zeros(4, 3, 3)), "weight must be 4-D"),
+        (lambda: T.conv2d(_zeros(1, 3, 8, 8), _zeros(4, 3, 3, 3), stride=0),
+         "stride and dilation must be >= 1"),
+        (lambda: T.conv2d(_zeros(1, 3, 8, 8), _zeros(4, 3, 3, 3), dilation=0),
+         "stride and dilation must be >= 1"),
+        (lambda: T.conv2d(_zeros(1, 3, 8, 8), _zeros(4, 3, 3, 3), zero_padding=-1),
+         "zero_padding must be >= 0"),
+        (lambda: T.conv2d(_zeros(1, 3, 8, 8), _zeros(4, 1, 3, 3), groups=2),
+         "input channels 3 not divisible by groups 2"),
+        (lambda: T.conv2d(_zeros(1, 4, 8, 8), _zeros(3, 2, 3, 3), groups=2),
+         "output channels 3 not divisible by groups 2"),
+        (lambda: T.conv2d(_zeros(1, 3, 8, 8), _zeros(4, 3, 3, 3), _zeros(5)),
+         "bias length expects output channels 4"),
+        (lambda: T.bilinear_upsample(_zeros(3, 8, 8), 16, 16),
+         "bilinear_upsample input must be 4-D"),
+        (lambda: T.bilinear_upsample(_zeros(1, 3, 8, 8), 4, 16), "must not shrink input"),
+        (lambda: T.global_avg_pool(_zeros(3, 8, 8)), "global_avg_pool input must be 4-D"),
+        (lambda: T.ChannelParts(), "needs at least one tensor"),
+        (lambda: ModelConfig(se_reduction=0), "se_reduction must be >= 1"),
+        (lambda: ModelConfig(aspp_channels=0), "channel counts must be >= 1"),
+        (lambda: DataConfig(crop=-16), "crop must be >= 0"),
+        (lambda: RunConfig(epochs=0), "epochs must be >= 1"),
+    ], ids=["conv-input-3d", "conv-weight-3d", "conv-stride-0", "conv-dilation-0",
+            "conv-padding-negative", "conv-groups-c-in", "conv-groups-c-out",
+            "conv-bias-length", "bilinear-input-3d", "bilinear-shrink", "pool-input-3d",
+            "channel-parts-empty", "se-reduction-0", "channels-0", "crop-negative",
+            "epochs-0"])
+    def test_raises_value_error(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+    def test_train_without_triplets_is_data_error(self, data_dir, tmp_path):
+        with pytest.raises(DataError, match="no training triplets"):
+            train(make_config(data_dir, tmp_path / "run"), triplets=[])
+
+
 class TestCLI:
     def _write_config(self, tmp_path, data_root, out_dir, **overrides):
         cfg = make_config(data_root, out_dir, **overrides)
@@ -707,6 +752,46 @@ class TestCLI:
         assert main(["eval", "--checkpoint", run.last_path, "--data", str(data),
                      "--out", str(tmp_path / "eval")]) == 3
         assert "p002: 2 slices; slice triplets need >= 3" in capsys.readouterr().err
+
+    def test_reconstruct_under_three_slices_is_data_error(self, run, data_dir, tmp_path,
+                                                          capsys):
+        src = str(tmp_path / "short_low.hqiv")
+        write_volume(src, read_volume(os.path.join(data_dir, "test", "p002_low.hqiv"))[:2])
+        out = tmp_path / "recon"
+        assert main(["reconstruct", "--checkpoint", run.last_path, "--input", src,
+                     "--out", str(out)]) == 3
+        assert "has 2 slices; reconstruction needs >= 3" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_low_and_full_slice_counts_differ_is_data_error(self, run, data_dir, tmp_path,
+                                                            capsys):
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        path = str(data / "test" / "p002_full.hqiv")
+        write_volume(path, read_volume(path)[:3], manifest=read_manifest(path))
+        assert main(["eval", "--checkpoint", run.last_path, "--data", str(data),
+                     "--out", str(tmp_path / "eval")]) == 3
+        assert "p002: low volume (4, 32, 32) vs full volume (3, 32, 32)" in (
+            capsys.readouterr().err)
+
+    def test_checkpoint_shorter_than_prefix_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "short.hqic"
+        bad.write_bytes(b"HQIC\x00")
+        assert main(["eval", "--checkpoint", str(bad), "--out", str(tmp_path / "eval")]) == 3
+        assert "5 bytes is shorter than the 10-byte prefix" in capsys.readouterr().err
+
+    def test_low_dose_equal_to_full_dose_is_numeric_failure(self, run, data_dir, tmp_path,
+                                                            capsys):
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        low = str(data / "test" / "p002_low.hqiv")
+        shutil.copy(str(data / "test" / "p002_full.hqiv"), low)
+        out = tmp_path / "eval"
+        # The low-dose PSNR is +inf, which report.json cannot hold.
+        assert main(["eval", "--checkpoint", run.last_path, "--data", str(data),
+                     "--out", str(out)]) == 4
+        assert "report has a non-finite metric" in capsys.readouterr().err
+        assert not (out / "report.txt").exists() and not (out / "report.json").exists()
 
     def test_reference_slice_without_positive_value_is_data_error(self, run, data_dir,
                                                                    tmp_path, capsys):

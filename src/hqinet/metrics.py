@@ -22,6 +22,8 @@ __all__ = [
 
 METRIC_KEYS = ("l1", "nmse", "psnr_db", "mi")
 MI_BINS = 64  # mutual_information's bins per axis over [0, 1]
+_MI_EDGES = np.linspace(0.0, 1.0, MI_BINS + 1)  # the edges np.histogram2d uses
+PSNR_CAP_DB = 100.0  # psnr of identical images, and its upper bound
 
 
 def _pair(pred, ref):
@@ -48,28 +50,51 @@ def nmse(pred, ref):
 
 def psnr(pred, ref):
     """Peak signal-to-noise ratio in dB, 10*log10(peak^2 / MSE) with the
-    reference's maximum as the peak; +inf for identical images."""
+    reference's maximum as the peak, capped at ``PSNR_CAP_DB``; identical
+    images score the cap, so a report stays finite."""
     p, r = _pair(pred, ref)
     peak = float(r.max())
     if peak <= 0:
         raise ValueError(f"peak must be > 0, got {peak}")
     mse = float(np.mean((p - r) ** 2))
     if mse == 0.0:
-        return math.inf
-    return float(10.0 * math.log10(peak * peak / mse))
+        return PSNR_CAP_DB
+    return min(PSNR_CAP_DB, float(10.0 * math.log10(peak * peak / mse)))
+
+
+def _bin_index(x):
+    """Each value's bin among ``MI_BINS`` equal-width bins over [0, 1], as
+    np.histogram2d assigns it: ``_MI_EDGES[k] <= x < _MI_EDGES[k + 1]``,
+    and 1.0 in the last bin. ``x`` lies in [0, 1]. ``floor(x * MI_BINS)``
+    is at most one bin off the edges, so one comparison on each side
+    corrects it."""
+    i = np.minimum((x * MI_BINS).astype(np.intp), MI_BINS - 1)
+    i -= x < _MI_EDGES[i]
+    i += x >= _MI_EDGES[i + 1]
+    return np.minimum(i, MI_BINS - 1, out=i)
+
+
+def _joint_histogram(p, r):
+    """The (MI_BINS, MI_BINS) pixel counts of ``p`` against ``r`` over
+    [0, 1]², with values clipped to that square. A pixel that is NaN in
+    either image is dropped, as np.histogram2d drops it."""
+    p = np.clip(p.ravel(), 0.0, 1.0)
+    r = np.clip(r.ravel(), 0.0, 1.0)
+    nan = np.isnan(p) | np.isnan(r)
+    if nan.any():
+        p, r = p[~nan], r[~nan]
+    flat = _bin_index(p) * MI_BINS + _bin_index(r)
+    return np.bincount(flat, minlength=MI_BINS * MI_BINS).reshape(MI_BINS, MI_BINS)
 
 
 def mutual_information(pred, ref):
     """Joint-histogram mutual information in nats, >= 0.
 
     Intensities are clipped to [0, 1] and binned into ``MI_BINS``
-    equal-width bins per axis.
+    equal-width bins per axis, count for count as np.histogram2d bins
+    them; a pixel that is NaN in either image is left out.
     """
-    p, r = _pair(pred, ref)
-    p = np.clip(p.ravel(), 0.0, 1.0)
-    r = np.clip(r.ravel(), 0.0, 1.0)
-    joint, _, _ = np.histogram2d(p, r, bins=MI_BINS,
-                                 range=[[0.0, 1.0], [0.0, 1.0]])
+    joint = _joint_histogram(*_pair(pred, ref))
     joint = joint / joint.sum()
     px = joint.sum(axis=1)
     py = joint.sum(axis=0)

@@ -35,6 +35,8 @@ __all__ = ["TrainResult", "train", "evaluate", "reconstruct"]
 
 LOG_HEADER = "step,epoch,loss,l1_part,ssim_part,wall_time"
 VAL_LOG_HEADER = "epoch,val_loss"
+_M_TRIM_THRESHOLD = -1  # glibc mallopt parameters, from <malloc.h>
+_M_MMAP_THRESHOLD = -3
 
 
 @dataclass
@@ -55,33 +57,62 @@ def _grad_norm(model):
     return math.sqrt(total)
 
 
+def _hold_heap():
+    """Keep freed memory in this process's heap between forwards.
+
+    glibc raises its mmap threshold to the largest block freed so far, so
+    after each forward it trims the heap above twice that and the next
+    forward faults it in again. Fixed thresholds (32 MiB mmap, 64 MiB
+    trim) stop that and change no output. Does nothing where the C
+    library has no ``mallopt``; calling it again is harmless.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def _predict(model, inputs, labels, batch_size):
     """The model's (b, 1, h, w) outputs in eval mode for ``inputs``, a list
-    of equal-size (3, h, w) arrays, one array per ``batch_size`` chunk.
-    A non-finite output raises NumericError naming its input's label."""
-    _check_slice_size(*inputs[0].shape[1:])
+    of (3, h, w) arrays, one array per chunk. A chunk holds up to
+    ``batch_size`` consecutive inputs of one size, so a size change starts
+    a new chunk. Every size is checked before the first forward. A
+    non-finite output raises NumericError naming its input's label."""
+    for h, w in sorted({x.shape[1:] for x in inputs}):
+        _check_slice_size(h, w)
+    # Runs of consecutive inputs of one size, each cut into batch_size chunks.
+    cuts = [i for i in range(1, len(inputs)) if inputs[i].shape != inputs[i - 1].shape]
     model.eval()
     preds = []
     with T.no_grad():
-        for start in range(0, len(inputs), batch_size):
-            pred = model(Tensor(np.stack(inputs[start:start + batch_size]))).data
-            bad = np.flatnonzero(~np.isfinite(pred).all(axis=(1, 2, 3)))
-            if bad.size:
-                raise NumericError(f"non-finite model output for {labels[start + bad[0]]}")
-            preds.append(pred)
+        for lo, hi in zip([0] + cuts, cuts + [len(inputs)]):
+            for start in range(lo, hi, batch_size):
+                pred = model(Tensor(np.stack(inputs[start:min(start + batch_size, hi)]))).data
+                bad = np.flatnonzero(~np.isfinite(pred).all(axis=(1, 2, 3)))
+                if bad.size:
+                    raise NumericError(
+                        f"non-finite model output for {labels[start + bad[0]]}")
+                preds.append(pred)
     return preds
 
 
 def _validation_loss(model, triplets, config: RunConfig):
-    bs = config.batch_size
     total = 0.0
     preds = _predict(model, [t.input for t in triplets],
-                     [f"{t.patient_id} slice {t.slice_index}" for t in triplets], bs)
-    for start, pred in zip(range(0, len(triplets), bs), preds):
-        chunk = triplets[start:start + bs]
-        y = np.stack([t.target for t in chunk])
+                     [f"{t.patient_id} slice {t.slice_index}" for t in triplets],
+                     config.batch_size)
+    start = 0
+    for pred in preds:
+        y = np.stack([t.target for t in triplets[start:start + len(pred)]])
         loss = loss_terms(Tensor(pred), Tensor(y), config.loss_weights, config.ssim)[0]
-        total += float(loss.data) * len(chunk)
+        total += float(loss.data) * len(pred)
+        start += len(pred)
     return total / len(triplets)
 
 
@@ -110,6 +141,7 @@ def train(config: RunConfig, resume=None, triplets=None, val_triplets=None) -> T
     otherwise they are loaded from config.data.root. When both splits are
     loaded, a patient in both is a data error.
     """
+    _hold_heap()
     out_dir = config.output_dir
     os.makedirs(out_dir, exist_ok=True)
     from_root = triplets is None and val_triplets is None
@@ -232,13 +264,12 @@ def _load_model_from_checkpoint(ckpt_path):
     return model, state.config
 
 
-def _predict_volume(model, low_volume, name, batch_size):
-    """Model outputs for every interior slice of a low-dose volume; ``name``
-    labels the volume in errors."""
+def _windows(low_volume, name):
+    """The (3, h, w) model input of every interior slice of a low-dose
+    volume, and the labels that name them in errors."""
     centers = range(1, low_volume.shape[0] - 1)
-    inputs = [low_volume[i - 1:i + 2] for i in centers]
-    labels = [f"{name} slice {i}" for i in centers]
-    return np.concatenate(_predict(model, inputs, labels, batch_size))[:, 0]
+    return ([low_volume[i - 1:i + 2] for i in centers],
+            [f"{name} slice {i}" for i in centers])
 
 
 def evaluate(ckpt_path, data_dir, out_dir):
@@ -250,17 +281,23 @@ def evaluate(ckpt_path, data_dir, out_dir):
     ``{"low_dose", "model", "delta"}``, two metric reports and the model's
     mean PSNR and MI gains over the low-dose inputs.
     """
+    _hold_heap()
     model, config = _load_model_from_checkpoint(ckpt_path)
     os.makedirs(out_dir, exist_ok=True)
-    low_mids, full_mids, pred_mids = [], [], []
+    low_mids, full_mids, inputs, labels = [], [], [], []
     for pid, low, full, _manifest in load_volume_pairs(data_dir, "test"):
         for i in range(1, low.shape[0] - 1):
             if not (full[i] > 0).any():  # no peak for PSNR, no norm for NMSE
                 raise DataError(f"{pid}: full-dose slice {i} has no positive value")
-        preds = _predict_volume(model, low, pid, batch_size=config.batch_size)
         low_mids.extend(low[1:-1])
         full_mids.extend(full[1:-1])
-        pred_mids.extend(preds)
+        volume_inputs, volume_labels = _windows(low, pid)
+        inputs += volume_inputs
+        labels += volume_labels
+    # Batches span volumes: a sample's output in eval mode does not depend
+    # on the others in its batch.
+    pred_mids = [p[0] for pred in _predict(model, inputs, labels, config.batch_size)
+                 for p in pred]
     low_rep = metrics_report(low_mids, full_mids)
     model_rep = metrics_report(pred_mids, full_mids)
     table = format_table([("Low-dose", low_rep), ("HQINet", model_rep)])
@@ -293,15 +330,16 @@ def reconstruct(ckpt_path, input_path, out_dir):
     copied from the input unchanged (a triplet needs both neighbors).
     Writes recon.hqiv, its manifest, and one PGM per slice.
     """
+    _hold_heap()
     model, config = _load_model_from_checkpoint(ckpt_path)
     volume = read_volume(input_path)
     if volume.shape[0] < 3:
         raise DataError(
             f"{input_path} has {volume.shape[0]} slices; reconstruction needs >= 3")
     os.makedirs(out_dir, exist_ok=True)
-    preds = _predict_volume(model, volume, input_path, batch_size=config.batch_size)
+    preds = _predict(model, *_windows(volume, input_path), config.batch_size)
     out = volume.copy()
-    out[1:-1] = preds
+    out[1:-1] = np.concatenate(preds)[:, 0]
     try:
         src_manifest = read_manifest(input_path)
     except FileNotFoundError:

@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from hqinet.metrics import (METRIC_KEYS, MI_BINS, format_table, l1_error,
-                            metrics_report, mutual_information, nmse, psnr)
+from hqinet.metrics import (METRIC_KEYS, MI_BINS, PSNR_CAP_DB, _joint_histogram,
+                            format_table, l1_error, metrics_report,
+                            mutual_information, nmse, psnr)
 
 from _oracles import l1_naive, mi_naive, nmse_naive, psnr_naive
 
@@ -57,9 +58,12 @@ class TestClosedForms:
         assert psnr(r + c, r) == pytest.approx(20.0 * math.log10(r.max() / c),
                                                abs=1e-10)
 
-    def test_psnr_identical_is_infinite(self):
+    def test_psnr_identical_is_capped(self):
         x = img((8, 8), 10)
-        assert psnr(x, x) == math.inf
+        assert psnr(x, x) == PSNR_CAP_DB
+        # a tiny error that would read above the cap reads the cap
+        assert psnr(x + 1e-9, x) == PSNR_CAP_DB
+        assert psnr(x + 1e-3, x) < PSNR_CAP_DB
 
     def test_mi_identical_images_equals_histogram_entropy(self):
         x = img((32, 32), 15)
@@ -92,6 +96,57 @@ class TestClosedForms:
         small = np.clip(x + 0.02 * rng.normal(size=x.shape), 0, 1)
         large = np.clip(x + 0.3 * rng.normal(size=x.shape), 0, 1)
         assert mutual_information(x, small) > mutual_information(x, large)
+
+
+def _histogram2d(p, r):
+    """np.histogram2d's counts over [0, 1]², after the clipping MI applies."""
+    p = np.clip(np.ravel(p), 0.0, 1.0)
+    r = np.clip(np.ravel(r), 0.0, 1.0)
+    return np.histogram2d(p, r, bins=MI_BINS, range=[[0.0, 1.0], [0.0, 1.0]])[0]
+
+
+class TestMiBinning:
+    """The joint histogram equals np.histogram2d's count for count."""
+
+    EDGES = np.linspace(0.0, 1.0, MI_BINS + 1)
+
+    def test_random_images(self):
+        for seed in range(5):
+            x, y = img((64, 64), 20 + seed), img((64, 64), 30 + seed)
+            assert np.array_equal(_joint_histogram(x, y), _histogram2d(x, y))
+
+    def test_edges_and_their_neighbours(self):
+        below = np.nextafter(self.EDGES, -np.inf)
+        above = np.nextafter(self.EDGES, np.inf)
+        values = np.concatenate([self.EDGES, below, above, [0.0, 1.0]])
+        rng = np.random.default_rng(40)
+        for _ in range(5):
+            x, y = rng.permutation(values), rng.permutation(values)
+            assert np.array_equal(_joint_histogram(x, y), _histogram2d(x, y))
+        # each edge opens its bin; the one below it is in the bin before
+        ids = np.arange(MI_BINS)
+        counts = _joint_histogram(self.EDGES[:-1], self.EDGES[:-1])
+        assert np.array_equal(np.flatnonzero(counts), ids * MI_BINS + ids)
+        counts = _joint_histogram(below[1:], below[1:])
+        assert np.array_equal(np.flatnonzero(counts), ids * MI_BINS + ids)
+        # 1.0 is in the last bin
+        assert _joint_histogram(np.ones(1), np.ones(1))[-1, -1] == 1
+
+    def test_values_outside_the_window_are_clipped(self):
+        x = np.array([-5.0, -1e-300, -0.0, 1.0 + 1e-15, 7.0, np.inf, -np.inf, 0.5])
+        y = np.array([2.0, 0.25, -np.inf, -3.0, np.inf, 0.75, 1.5, -0.5])
+        joint = _joint_histogram(x, y)
+        assert np.array_equal(joint, _histogram2d(x, y))
+        assert joint.sum() == x.size
+
+    def test_nan_pixels_are_dropped(self):
+        x, y = img((16, 16), 50), img((16, 16), 51)
+        x[0, :3] = np.nan
+        y[5, 5] = np.nan
+        joint = _joint_histogram(x, y)
+        assert np.array_equal(joint, _histogram2d(x, y))
+        assert joint.sum() == x.size - 4
+        assert np.isfinite(mutual_information(x, y))
 
 
 class TestValidation:

@@ -3,6 +3,8 @@
 import contextlib
 import json
 import os
+import platform
+import resource
 import shutil
 import subprocess
 import sys
@@ -21,10 +23,12 @@ from hqinet.checkpoint import (CheckpointError, CheckpointMagicError, Checkpoint
                                restore_model_state, restore_optimizer_state,
                                save_checkpoint)
 from hqinet.cli import main
-from hqinet.dataset import SyntheticSpec, generate_dataset, load_triplets, random_crop
+from hqinet.dataset import (SyntheticSpec, generate_dataset, load_triplets, load_volume_pairs,
+                            random_crop)
 from hqinet import tensor as T
 from hqinet.errors import ConfigError, DataError, NumericError
 from hqinet.losses import SsimParams
+from hqinet.metrics import PSNR_CAP_DB, format_table, metrics_report
 from hqinet.network import ModelConfig, build_model
 from hqinet.optim import Adam
 from hqinet.runconfig import DataConfig, OptimizerConfig, RunConfig
@@ -394,6 +398,64 @@ class TestEvaluateAndReconstruct:
         # 1 test patient x 2 interior slices
         assert report["model"]["n"] == 2
 
+    def test_evaluate_batches_span_volumes_of_one_size(self, data_dir, run, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        rng = np.random.default_rng(3)
+        # p002 is 4x32x32 from the fixture; with batch size 2 the 32px slices
+        # batch as 2+2+2+2, one batch holding p003's last slice and p004's
+        # first, and the 48px ones as 2+1.
+        for pid, size in (("p003", 32), ("p004", 32), ("p005", 48)):
+            for kind in ("low", "full"):
+                write_volume(str(data / "test" / f"{pid}_{kind}.hqiv"),
+                             rng.uniform(0.1, 1.0, (5, size, size)).astype(np.float32))
+        out = tmp_path / "eval"
+        returned = evaluate(run.last_path, str(data), str(out))
+        assert returned["model"]["n"] == 2 + 3 + 3 + 3
+        # The report of per-volume predictions, byte for byte.
+        model, config = trainer._load_model_from_checkpoint(run.last_path)
+        lows, fulls, preds = [], [], []
+        for pid, low, full, _manifest in load_volume_pairs(str(data), "test"):
+            pred = trainer._predict(model, *trainer._windows(low, pid), config.batch_size)
+            preds.extend(np.concatenate(pred)[:, 0])
+            lows.extend(low[1:-1])
+            fulls.extend(full[1:-1])
+        low_rep, model_rep = metrics_report(lows, fulls), metrics_report(preds, fulls)
+        report = {"low_dose": low_rep, "model": model_rep,
+                  "delta": {k: model_rep[k]["mean"] - low_rep[k]["mean"]
+                            for k in ("psnr_db", "mi")}}
+        assert (out / "report.json").read_text() == json.dumps(
+            report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        assert (out / "report.txt").read_text() == format_table(
+            [("Low-dose", low_rep), ("HQINet", model_rep)])
+
+    def test_predict_chunks_break_at_size_changes(self):
+        class Recorder:
+            def __init__(self):
+                self.batches = []
+
+            def eval(self):
+                pass
+
+            def __call__(self, x):
+                self.batches.append(x.shape)
+                return Tensor(x.data[:, :1])
+
+        sizes = [32] * 5 + [48] * 2 + [32]
+        inputs = [np.full((3, s, s), i, np.float32) for i, s in enumerate(sizes)]
+        model = Recorder()
+        preds = trainer._predict(model, inputs, [str(i) for i in range(8)], 3)
+        assert model.batches == [(3, 3, 32, 32), (2, 3, 32, 32), (2, 3, 48, 48),
+                                 (1, 3, 32, 32)]
+        flat = [p for pred in preds for p in pred]
+        assert all(np.array_equal(p, x[:1]) for p, x in zip(flat, inputs))
+        # Every size is checked before the first forward.
+        model = Recorder()
+        with pytest.raises(DataError, match="slices are 40x40"):
+            trainer._predict(model, inputs + [np.zeros((3, 40, 40), np.float32)],
+                             [str(i) for i in range(9)], 3)
+        assert model.batches == []
+
     def test_reconstruct_outputs(self, data_dir, run, tmp_path):
         out = tmp_path / "recon"
         src = os.path.join(data_dir, "test", "p002_low.hqiv")
@@ -425,6 +487,37 @@ class TestEvaluateAndReconstruct:
         assert maxval == b"255"
         assert (w, h) == (32, 32)
         assert len(payload) == w * h
+
+
+class TestHeap:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's mallopt")
+    def test_forwards_do_not_refault_the_heap(self):
+        trainer._hold_heap()
+        model = build_model(RunConfig.desk().model, seed=0)
+        model.eval()
+        x = Tensor(np.random.default_rng(0).uniform(size=(4, 3, 128, 128)).astype(np.float32))
+        with T.no_grad():
+            for _ in range(2):  # warm-up
+                model(x)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            for _ in range(10):
+                model(x)
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        # Without the setting each forward faults its heap in again, about
+        # 5,000 faults per forward.
+        assert faults <= 300
+
+    @staticmethod
+    def _no_library(name):
+        raise OSError(f"cannot load {name}")
+
+    @pytest.mark.parametrize("cdll", [lambda name: object(), _no_library],
+                             ids=["no-mallopt", "no-library"])
+    def test_hold_heap_without_mallopt_does_nothing(self, monkeypatch, cdll):
+        import ctypes
+
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        assert trainer._hold_heap() is None
 
 
 class TestRunConfig:
@@ -780,32 +873,44 @@ class TestCLI:
         assert main(["eval", "--checkpoint", str(bad), "--out", str(tmp_path / "eval")]) == 3
         assert "5 bytes is shorter than the 10-byte prefix" in capsys.readouterr().err
 
-    def test_low_dose_equal_to_full_dose_is_numeric_failure(self, run, data_dir, tmp_path,
-                                                            capsys):
+    def test_low_dose_equal_to_full_dose_reports_psnr_cap(self, run, data_dir, tmp_path,
+                                                          capsys):
         data = tmp_path / "data"
         shutil.copytree(data_dir, data)
         low = str(data / "test" / "p002_low.hqiv")
         shutil.copy(str(data / "test" / "p002_full.hqiv"), low)
         out = tmp_path / "eval"
-        # The low-dose PSNR is +inf, which report.json cannot hold.
+        # An exact low-dose slice scores the PSNR cap, which report.json holds.
         assert main(["eval", "--checkpoint", run.last_path, "--data", str(data),
-                     "--out", str(out)]) == 4
-        assert "report has a non-finite metric" in capsys.readouterr().err
-        assert not (out / "report.txt").exists() and not (out / "report.json").exists()
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        report = json.loads((out / "report.json").read_text())
+        assert report["low_dose"]["per_image"]["psnr_db"] == [PSNR_CAP_DB] * 2
+        assert report["low_dose"]["psnr_db"] == {"mean": PSNR_CAP_DB, "std": 0.0}
+        assert report["low_dose"]["l1"]["mean"] == 0.0
+        assert all(np.isfinite(v) for rep in (report["low_dose"], report["model"])
+                   for values in rep["per_image"].values() for v in values)
+        assert np.isfinite(report["delta"]["psnr_db"])
 
     def test_reference_slice_without_positive_value_is_data_error(self, run, data_dir,
-                                                                   tmp_path, capsys):
+                                                                   tmp_path, capsys,
+                                                                   monkeypatch):
         data = tmp_path / "data"
         shutil.copytree(data_dir, data)
-        path = str(data / "test" / "p002_full.hqiv")
+        for kind in ("low", "full"):  # p003, the last patient, holds the bad slice
+            shutil.copy(data / "test" / f"p002_{kind}.hqiv", data / "test" / f"p003_{kind}.hqiv")
+        path = str(data / "test" / "p003_full.hqiv")
         full = read_volume(path).copy()
         full[2] = 0.0
-        write_volume(path, full, manifest=read_manifest(path))
+        write_volume(path, full)
+        predicted = []
+        monkeypatch.setattr(trainer, "_predict", lambda *args: predicted.append(args))
         out = tmp_path / "eval"
         assert main(["eval", "--checkpoint", run.last_path, "--data", str(data),
                      "--out", str(out)]) == 3
-        assert "p002: full-dose slice 2 has no positive value" in capsys.readouterr().err
+        assert "p003: full-dose slice 2 has no positive value" in capsys.readouterr().err
         assert not (out / "report.txt").exists() and not (out / "report.json").exists()
+        assert predicted == []  # no forward ran
 
     def test_mixed_slice_sizes_are_data_error(self, run, data_dir, tmp_path, capsys):
         data = tmp_path / "data"
@@ -824,7 +929,7 @@ class TestCLI:
         assert "slices of sizes [(32, 32), (48, 48)] cannot share a batch" in (
             capsys.readouterr().err)
         assert not run_dir.exists() or not any(run_dir.iterdir())
-        # eval predicts each volume on its own.
+        # eval starts a new batch where the slice size changes.
         assert main(["eval", "--checkpoint", run.last_path, "--data", str(data),
                      "--out", str(tmp_path / "eval")]) == 0
         capsys.readouterr()

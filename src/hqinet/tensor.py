@@ -64,8 +64,9 @@ class _GradMode(threading.local):
 
 _GRAD_MODE = _GradMode()
 
-# conv2d accumulates its taps into bands of output rows whose input and
-# output rows take about this many bytes per sample, so a band stays in cache.
+# conv2d works in bands that take about this many bytes per sample, so a band
+# stays in cache: output rows with the input rows they read, and in the
+# backward, input positions with the output-gradient rows of their patch.
 _BAND_BYTES = 1 << 18
 
 BN_EPSILON = 1e-5  # batch_norm's variance floor
@@ -345,8 +346,11 @@ def conv2d(x, weight, bias=None, stride=1, dilation=1, groups=1, zero_padding=0)
     2018): each band of output rows zero-pads the input rows it reads into
     a reused flat buffer per stride phase, in which each tap is one
     contiguous slice and one batched matmul. An unpadded 1x1 conv of one
-    tensor reads it in place. The backward pass refills the bands from the
-    input for the weight gradient, so the graph keeps no padded copy.
+    tensor reads it in place. The graph keeps no padded copy: the weight
+    gradient refills the bands from the input, and the input gradient takes
+    one matmul per band of input positions and stride phase, against a patch
+    of the output gradient's shifted rows (the transposed unrolled
+    convolution of Chellapilla, Puri & Simard 2006, one band at a time).
     """
     parts = x.parts if isinstance(x, ChannelParts) else (x,)
     wd = weight.data
@@ -397,7 +401,7 @@ def conv2d(x, weight, bias=None, stride=1, dilation=1, groups=1, zero_padding=0)
     # tap (i, j) reads phase ((i*d) % s, (j*d) % s) at stride 1 from flat
     # offset (i*d // s) * wq + j*d // s past its band's first row, and one
     # spare row takes wrapped reads.
-    hq, wq = -(-(h + 2 * p) // s), -(-(w + 2 * p) // s)
+    wq = -(-(w + 2 * p) // s)
     taps = [((i * d) % s * s + (j * d) % s, (i * d) // s * wq + (j * d) // s)
             for i in range(kh) for j in range(kw)]
     rows = min(oh, max(1, _BAND_BYTES // ((c_in + c_out) * wq * dtype.itemsize)))
@@ -443,33 +447,66 @@ def conv2d(x, weight, bias=None, stride=1, dilation=1, groups=1, zero_padding=0)
     out = wide.reshape(n, c_out, oh, wq)[..., :ow]  # drop the wrap-around columns
     out = np.ascontiguousarray(out) if bias is None else out + bias.data.reshape(1, c_out, 1, 1)
 
+    rq = -(-(p + h) // s)  # phase rows that hold input pixels
+    margin = taps[-1][1]  # the largest tap offset
+
+    def grad_weight(gop):
+        """Per tap and band, ``go`` times the band's input rows, refilled
+        from the saved input."""
+        band = reader()
+        gw = np.zeros(wt.shape, gop.dtype)
+        for r0, r1 in spans:
+            go = gop[..., margin + r0 * wq:margin + r1 * wq]
+            src = band(r0)
+            for t, (ph, off) in enumerate(taps):
+                tap = src[:, :, :, ph, off:off + go.shape[-1]]
+                gw[t] += np.matmul(go, tap.transpose(0, 1, 3, 2)).sum(axis=0)
+        return gw.transpose(1, 2, 3, 0).reshape(wd.shape)
+
+    def grad_input(gop):
+        """The flat phase planes of the input gradient. Position q of phase
+        ``ph`` is ``sum_t W_t^T go[q - off_t]`` over that phase's taps: per
+        band of q, the taps' shifted rows of ``go`` are stacked into one
+        patch and contracted with the phase's weights in one matmul (for a
+        depthwise conv too, where it beat an einsum)."""
+        gxf = np.empty((n, g, cg, s * s, rq * wq), gop.dtype)
+        phases = [[t for t, (ph, _) in enumerate(taps) if ph == a] for a in range(s * s)]
+        most = max(len(ts) for ts in phases)
+        cols = max(1, _BAND_BYTES // ((most * c_out + c_in) * gop.dtype.itemsize))
+        patch = np.empty((n, g, most * cog, min(cols, rq * wq)), gop.dtype)
+        for ph, ts in enumerate(phases):
+            if not ts:  # no tap reads this phase
+                gxf[:, :, :, ph] = 0
+                continue
+            # (g, cg, taps * cog): the phase's weights side by side, transposed
+            wcat = wt[ts].transpose(1, 3, 0, 2).reshape(g, cg, len(ts) * cog)
+            for q0 in range(0, rq * wq, cols):
+                q1 = min(q0 + cols, rq * wq)
+                lows = [margin + q0 - taps[t][1] for t in ts]
+                if len(ts) == 1:  # the patch is go itself
+                    src = gop[..., lows[0]:lows[0] + q1 - q0]
+                else:
+                    src = patch[:, :, :len(ts) * cog, :q1 - q0]
+                    for i, lo in enumerate(lows):
+                        src[:, :, i * cog:(i + 1) * cog] = gop[..., lo:lo + q1 - q0]
+                np.matmul(wcat, src, out=gxf[:, :, :, ph, q0:q1])
+        return gxf
+
     def bw(grad):
         grads = []
-        go = grad
-        if wq != ow:  # zeros in the wrap-around columns; a 1x1 conv has none
-            go = np.zeros((n, c_out, oh, wq), dtype=grad.dtype)
-            go[..., :ow] = grad
-        go = go.reshape(n, g, cog, oh * wq)
-        x_grad = any(t.requires_grad for t in parts)
-        band = reader() if weight.requires_grad else None
-        gw = np.zeros(wt.shape, grad.dtype)
-        gxf = np.zeros((n, g, cg, s * s, (hq + 1) * wq), grad.dtype) if x_grad else None
-        gpart = np.empty((n, g, cg, rows * wq), dtype=grad.dtype)
-        for r0, r1 in spans:
-            lo, hi = r0 * wq, r1 * wq
-            gob = go[..., lo:hi]
-            src = band(r0) if band else None
-            for t, (ph, off) in enumerate(taps):
-                if band:
-                    tap = src[:, :, :, ph, off:off + hi - lo]
-                    gw[t] += np.matmul(gob, tap.transpose(0, 1, 3, 2)).sum(axis=0)
-                if x_grad:
-                    product(wt[t].transpose(0, 2, 1), gob, out=gpart[..., :hi - lo])
-                    gxf[:, :, :, ph, off + lo:off + hi] += gpart[..., :hi - lo]
+        # gop[..., margin + q] is the output gradient at flat position q:
+        # zero in the wrap-around columns and in the margins a tap shifts into
+        m = oh * wq
+        if kh == kw == 1:  # no tap shifts and no wrap-around columns
+            gop = grad.reshape(n, g, cog, m)
+        else:
+            gop = np.zeros((n, c_out, margin + max(m, rq * wq)), dtype=grad.dtype)
+            gop[..., margin:margin + m].reshape(n, c_out, oh, wq)[..., :ow] = grad
+            gop = gop.reshape(n, g, cog, -1)
         if weight.requires_grad:
-            grads.append((weight, gw.transpose(1, 2, 3, 0).reshape(wd.shape)))
-        if x_grad:
-            gx = gxf.reshape(n, c_in, s, s, -1, wq).transpose(0, 1, 4, 2, 5, 3)
+            grads.append((weight, grad_weight(gop)))
+        if any(t.requires_grad for t in parts):
+            gx = grad_input(gop).reshape(n, c_in, s, s, rq, wq).transpose(0, 1, 4, 2, 5, 3)
             gx = gx.reshape(n, c_in, -1, wq * s)[:, :, p:p + h, p:p + w]
             if s < stride:  # back onto the pixels the 1x1 conv read
                 gx, sub = np.zeros((n, c_in, h0, w0), dtype=grad.dtype), gx
@@ -489,23 +526,38 @@ def conv2d(x, weight, bias=None, stride=1, dilation=1, groups=1, zero_padding=0)
 
 def batch_norm(x, gamma, beta, stats=None):
     """Per-channel ``gamma * (x - mean) / sqrt(var + BN_EPSILON) + beta`` over
-    ``(n, c, h, w)`` input as one scale and shift, with the batch's mean and
-    biased variance over ``(n, h, w)`` or with constant ``stats = (mean, var)``.
-    Returns ``(out, mean, var)``. The backward pass is closed form (Ioffe &
-    Szegedy 2015) and recomputes ``xhat`` from ``x``."""
-    xd, axes, col = x.data, (0, 2, 3), (1, -1, 1, 1)
-    mean, var = (xd.mean(axis=axes), xd.var(axis=axes)) if stats is None else stats
+    ``(n, c, h, w)`` input, with the batch's mean and biased variance over
+    ``(n, h, w)`` or with constant ``stats = (mean, var)``. Returns ``(out,
+    mean, var)``. With batch statistics the input is centred once and the
+    variance is one per-channel dot product; with constant ones the op is
+    one scale and shift. The backward pass is closed form (Ioffe & Szegedy
+    2015): it centres the input again and needs two per-channel
+    reductions, ``sum g`` and ``sum g * (x - mean)``."""
+    xd = x.data
+    n, c = xd.shape[:2]
+    x3, col, m = xd.reshape(n, c, -1), (1, c, 1), xd.size // c  # m values per channel
+    if stats is None:
+        mean = x3.mean(axis=(0, 2))
+        xc = x3 - mean.reshape(col)
+        var = np.einsum("nci,nci->c", xc, xc) / m
+    else:
+        mean, var = stats
     inv = 1.0 / np.sqrt(var + BN_EPSILON)
     scale = gamma.data * inv
-    out = xd * scale.reshape(col) + (beta.data - mean * scale).reshape(col)
+    # one scale and shift: of x with constant statistics, of x - mean without
+    base, shift = (xc, beta.data) if stats is None else (x3, beta.data - mean * scale)
+    out = (base * scale.reshape(col) + shift.reshape(col)).reshape(xd.shape)
 
     def bw(grad):
-        xhat = (xd - mean.reshape(col)) * inv.reshape(col)
-        gx = grad * scale.reshape(col)
-        if stats is None:
-            gx = (gx - gx.mean(axis=axes, keepdims=True)
-                  - xhat * (gx * xhat).mean(axis=axes, keepdims=True))
-        grads = ((x, gx), (gamma, (grad * xhat).sum(axis=axes)), (beta, grad.sum(axis=axes)))
+        g3 = grad.reshape(n, c, -1)
+        xc = x3 - mean.reshape(col)
+        sum_g, sum_gxc = g3.sum(axis=(0, 2)), np.einsum("nci,nci->c", g3, xc)
+        gx = g3 * scale.reshape(col)
+        if stats is None:  # the batch statistics depend on x too
+            xc *= (-scale * inv * inv * sum_gxc / m).reshape(col)
+            gx += xc
+            gx -= (scale * sum_g / m).reshape(col)
+        grads = ((x, gx.reshape(xd.shape)), (gamma, sum_gxc * inv), (beta, sum_g))
         return [(t, g) for t, g in grads if t.requires_grad]
 
     return _make(out, (x, gamma, beta), bw), mean, var

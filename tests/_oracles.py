@@ -52,6 +52,31 @@ def conv2d_naive(x, w, b=None, stride=1, dilation=1, groups=1, padding=0):
     return out
 
 
+def conv2d_grad_input_naive(grad_out, w, in_shape, stride=1, dilation=1, groups=1,
+                            padding=0):
+    """The adjoint of ``conv2d_naive`` in its input, in float64: every output
+    gradient value goes back, weighted by its tap, onto the padded input
+    pixel that tap read. Loops over channels and taps; each step moves
+    every (sample, output pixel) at once."""
+    go = np.asarray(grad_out, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
+    n, cin, h, wid = in_shape
+    cout, cg, kh, kw = w.shape
+    _, _, oh, ow = go.shape
+    gx = np.zeros((n, cin, h + 2 * padding, wid + 2 * padding))
+    cog = cout // groups
+    for co in range(cout):
+        g = co // cog
+        for ci in range(cg):
+            for ky in range(kh):
+                for kx in range(kw):
+                    y0, x0 = ky * dilation, kx * dilation
+                    rows = slice(y0, y0 + (oh - 1) * stride + 1, stride)
+                    cols = slice(x0, x0 + (ow - 1) * stride + 1, stride)
+                    gx[:, g * cg + ci, rows, cols] += go[:, co] * w[co, ci, ky, kx]
+    return gx[:, :, padding:padding + h, padding:padding + wid]
+
+
 def batch_norm_naive(x, gamma, beta, epsilon, stats=None):
     """Batch normalization composed of elementwise tensor ops: 11 graph nodes
     with the batch's statistics, 6 with ``stats = (running_mean,

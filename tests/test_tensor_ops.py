@@ -12,7 +12,7 @@ from hqinet import tensor as T
 from hqinet.tensor import Tensor
 
 from _gradcheck import check
-from _oracles import batch_norm_naive, conv2d_naive
+from _oracles import batch_norm_naive, conv2d_grad_input_naive, conv2d_naive
 
 
 def rand(shape, seed, scale=1.0, shift=0.0):
@@ -366,6 +366,70 @@ class TestConv2dRowBands:
                 assert got.dtype == dtype and np.array_equal(got, want)
 
 
+class TestConv2dGradInput:
+    """conv2d's input gradient against the loop-form adjoint, over a grid of
+    kernel sizes, dilations and paddings, with whole and split patch bands."""
+
+    # (c_in, c_out, groups); the last is depthwise
+    CHANNELS = [(3, 4, 1), (4, 6, 2), (4, 4, 4)]
+
+    @pytest.mark.parametrize("band", ["real", "small"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("channels", CHANNELS)
+    def test_matches_adjoint_oracle(self, channels, stride, band, monkeypatch):
+        cin, cout, groups = channels
+        if band == "small":  # a few columns per patch band, a few rows per forward band
+            monkeypatch.setattr(T, "_BAND_BYTES", 4099)
+        n, h, w = 2, 15, 13  # the widest kernel, 5 taps at dilation 3, fits unpadded
+        rng = np.random.default_rng(70 + 10 * cin + stride)
+        split = cin // 2 + 1
+        for case, (k, dilation, padding) in enumerate(
+                (k, d, p) for k in (1, 3, 5) for d in (1, 2, 3) for p in range(4)):
+            x = rng.normal(size=(n, cin, h, w))
+            wt = rng.normal(size=(cout, cin // groups, k, k))
+            kw = dict(stride=stride, dilation=dilation, groups=groups, zero_padding=padding)
+            oh = T.conv_output_size(h, k, stride, dilation, padding)
+            ow = T.conv_output_size(w, k, stride, dilation, padding)
+            go = rng.normal(size=(n, cout, oh, ow))
+            want = conv2d_grad_input_naive(go, wt, x.shape, stride=stride, dilation=dilation,
+                                           groups=groups, padding=padding)
+            for dtype, tol in ((np.float64, 1e-12), (np.float32, 1e-6)):
+                if case % 2:  # read as two channel parts
+                    leaves = [Tensor(x[:, :split].astype(dtype), requires_grad=True),
+                              Tensor(x[:, split:].astype(dtype), requires_grad=True)]
+                    xin = T.ChannelParts(*leaves)
+                else:
+                    leaves = [Tensor(x.astype(dtype), requires_grad=True)]
+                    xin = leaves[0]
+                out = T.conv2d(xin, Tensor(wt.astype(dtype)), **kw)
+                T.tsum(T.mul(out, Tensor(go.astype(dtype)))).backward()
+                got = np.concatenate([t.grad for t in leaves], axis=1)
+                assert got.dtype == dtype and got.shape == want.shape
+                err = np.abs(got - want).max() / np.abs(want).max()
+                assert err <= tol, (k, dilation, padding, dtype, err)
+
+    def test_head_fuse_backward_memory(self):
+        # The desk head's fuse conv at inference size: the backward holds the
+        # padded output gradient, one band's input rows for the weight
+        # gradient, then one patch band; a whole-map 54-row patch would
+        # take 14.6 MB more.
+        x = Tensor(rand((4, 42, 128, 128), 45).astype(np.float32), requires_grad=True)
+        w = Tensor(rand((6, 42, 3, 3), 46).astype(np.float32), requires_grad=True)
+        out = T.conv2d(x, w, zero_padding=1)
+        grad = rand(out.data.shape, 47).astype(np.float32)
+        tracemalloc.start()
+        try:
+            grads = dict((id(t), g) for t, g in out._backward(grad))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        buffer = grads[id(x)]
+        while buffer.base is not None:  # the array that owns the input gradient
+            buffer = buffer.base
+        assert grads[id(w)].shape == w.data.shape
+        assert peak - buffer.nbytes < 4 * 2**20
+
+
 class TestBatchNorm:
     """``batch_norm`` against the elementwise composition it replaced."""
 
@@ -417,6 +481,27 @@ class TestBatchNorm:
         assert out._parents == tuple(leaves)
         with T.no_grad():
             assert T.batch_norm(*leaves)[0]._backward is None
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_eval_mode_is_one_scale_and_shift_bit_for_bit(self, dtype):
+        # inference output is pinned to this expression's rounding
+        x, gamma, beta, (mean, var), _ = self._inputs(dtype, "eval")
+        scale = gamma * (1.0 / np.sqrt(var + T.BN_EPSILON))
+        want = x * scale.reshape(1, -1, 1, 1) + (beta - mean * scale).reshape(1, -1, 1, 1)
+        got = T.batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), (mean, var))[0].data
+        assert got.dtype == dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+    @pytest.mark.parametrize("shape", [(4, 5, 7, 6), (4, 8, 64, 64)])
+    def test_train_mode_statistics_match_numpy(self, shape, dtype, tol):
+        # the running statistics are folded from these
+        x = rand(shape, 48, scale=3.0, shift=2.0).astype(dtype)
+        c = shape[1]
+        _, mean, var = T.batch_norm(Tensor(x), Tensor(np.ones(c, dtype)),
+                                    Tensor(np.zeros(c, dtype)))
+        for got, want in ((mean, np.mean(x, axis=(0, 2, 3))), (var, np.var(x, axis=(0, 2, 3)))):
+            assert got.dtype == dtype and got.shape == (c,)
+            assert np.abs(got - want).max() <= tol * np.abs(want).max()
 
 
 class TestStructuralOps:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import tensor as T
-from .nn import BatchNorm2d, Conv2d, Module, initialize_parameters
+from .nn import BatchNorm2d, Conv2d, Module, conv_bn, initialize_parameters
 from .tensor import Tensor
 
 __all__ = [
@@ -117,13 +117,18 @@ class EncoderOutputs:
 
 
 class ConvBNReLU(Module):
+    """A bias-free conv, BatchNorm and relu. The relu is part of the
+    BatchNorm op, so the unit records two graph nodes and holds two
+    activations; in eval mode with no graph the BatchNorm folds into the
+    conv, so inference makes one conv and one in-place relu."""
+
     def __init__(self, in_c, out_c, kernel_size, stride=1, padding=0):
         super().__init__()
         self.conv = Conv2d(in_c, out_c, kernel_size, stride=stride, padding=padding, bias=False)
         self.bn = BatchNorm2d(out_c)
 
     def forward(self, x):
-        return T.relu(self.bn(self.conv(x)))
+        return conv_bn(self.conv, self.bn, x, relu=True)
 
 
 class Stem(Module):
@@ -200,9 +205,8 @@ class Bottleneck(Module):
             self.shortcut_bn = BatchNorm2d(out_c)
 
     def forward(self, x):
-        r = self.expand_bn(self.expand(self.spatial(self.reduce(x))))
-        r = self.attn(r)
-        s = self.shortcut_bn(self.shortcut(x)) if self.has_projection else x
+        r = self.attn(conv_bn(self.expand, self.expand_bn, self.spatial(self.reduce(x))))
+        s = conv_bn(self.shortcut, self.shortcut_bn, x) if self.has_projection else x
         return T.relu(T.add(r, s))
 
 

@@ -17,6 +17,7 @@ __all__ = [
     "Module",
     "Conv2d",
     "BatchNorm2d",
+    "conv_bn",
     "init_truncated_gaussian",
     "initialize_parameters",
 ]
@@ -143,17 +144,37 @@ class BatchNorm2d(Module):
         self.running_mean = np.zeros(channels, dtype=np.float32)
         self.running_var = np.ones(channels, dtype=np.float32)
 
-    def forward(self, x):
+    def forward(self, x, relu=False):
+        """Normalize ``x``, then apply a relu in the same op if ``relu``."""
         c = self.channels
         if x.data.shape[1] != c:
             raise ValueError(f"expected {c} channels, got {x.data.shape[1]}")
         m = BN_MOMENTUM
         stats = None if self.training else (self.running_mean, self.running_var)
-        out, mean, var = T.batch_norm(x, self.gamma, self.beta, stats)
+        out, mean, var = T.batch_norm(x, self.gamma, self.beta, stats, relu)
         if self.training:
             self.running_mean = (1.0 - m) * self.running_mean + m * mean
             self.running_var = (1.0 - m) * self.running_var + m * var
         return out
+
+
+def conv_bn(conv, bn, x, relu=False):
+    """``bn(conv(x), relu)`` for a bias-free ``conv``. In eval mode with no
+    graph recorded, the BatchNorm is folded into the conv (Jacob et al.
+    2018): one conv whose weight is scaled per output channel by
+    ``gamma / sqrt(running_var + BN_EPSILON)`` and whose bias is the
+    matching shift, with the relu applied in place to its fresh output.
+    The fold makes new arrays; no parameter or buffer changes."""
+    if bn.training or T.grad_enabled():
+        return bn(conv(x), relu=relu)
+    _, scale, shift = T.bn_scale_shift(bn.gamma.data, bn.beta.data,
+                                       bn.running_mean, bn.running_var)
+    weight = Tensor(conv.weight.data * scale.reshape(-1, 1, 1, 1))
+    out = T.conv2d(x, weight, Tensor(shift), stride=conv.stride, dilation=conv.dilation,
+                   groups=conv.groups, zero_padding=conv.padding)
+    if relu:
+        np.maximum(out.data, 0, out=out.data)
+    return out
 
 
 def init_truncated_gaussian(shape, rng):

@@ -4,13 +4,15 @@ The engine records a computation graph as ops execute and replays it in
 reverse topological order when ``backward`` is called on a scalar. It
 supplies exactly the operations the reconstruction network and its
 training objective need: elementwise arithmetic, reductions, 2-D
-convolution (stride / dilation / groups), batch normalization,
-bilinear upsampling, channel concatenation and the gating primitives.
+convolution (stride / dilation / groups), batch normalization (with an
+optional relu in the same op, so a conv-BN-relu unit holds one
+activation after its conv), bilinear upsampling, channel concatenation
+and the gating primitives.
 
 Conventions:
     * feature maps are 4-D ``(n, c, h, w)``; biases are 1-D; losses 0-D.
-    * relu uses subgradient 0 at 0; sigmoid is computed in split form so
-      large negative inputs cannot overflow.
+    * relu, alone or in batch_norm, uses subgradient 0 at 0; sigmoid is
+      computed in split form so large negative inputs cannot overflow.
     * bilinear upsampling samples half-pixel centers,
       ``src = (dst + 0.5) * (in / out) - 0.5``, clamped to the edge.
     * all ops preserve the input floating dtype (float32 or float64 run
@@ -31,6 +33,7 @@ import numpy as np
 __all__ = [
     "Tensor",
     "no_grad",
+    "grad_enabled",
     "add",
     "sub",
     "mul",
@@ -47,6 +50,7 @@ __all__ = [
     "conv_output_size",
     "separable",
     "batch_norm",
+    "bn_scale_shift",
     "bilinear_upsample",
     "global_avg_pool",
     "concat_channels",
@@ -70,6 +74,11 @@ _GRAD_MODE = _GradMode()
 _BAND_BYTES = 1 << 18
 
 BN_EPSILON = 1e-5  # batch_norm's variance floor
+
+
+def grad_enabled():
+    """Whether ops called in this thread record the graph."""
+    return _GRAD_MODE.enabled
 
 
 class no_grad:
@@ -524,15 +533,29 @@ def conv2d(x, weight, bias=None, stride=1, dilation=1, groups=1, zero_padding=0)
     return _make(out, parents, bw)
 
 
-def batch_norm(x, gamma, beta, stats=None):
+def bn_scale_shift(gamma, beta, mean, var):
+    """``(inv, scale, shift)`` arrays of batch normalization with statistics
+    ``(mean, var)``: ``inv = 1 / sqrt(var + BN_EPSILON)``, ``scale = gamma *
+    inv`` and ``shift = beta - mean * scale``, so the normalized input is
+    ``x * scale + shift``. ``batch_norm`` and the conv folding of
+    ``nn.conv_bn`` both take them from here."""
+    inv = 1.0 / np.sqrt(var + BN_EPSILON)
+    scale = gamma * inv
+    return inv, scale, beta - mean * scale
+
+
+def batch_norm(x, gamma, beta, stats=None, relu=False):
     """Per-channel ``gamma * (x - mean) / sqrt(var + BN_EPSILON) + beta`` over
     ``(n, c, h, w)`` input, with the batch's mean and biased variance over
-    ``(n, h, w)`` or with constant ``stats = (mean, var)``. Returns ``(out,
-    mean, var)``. With batch statistics the input is centred once and the
-    variance is one per-channel dot product; with constant ones the op is
-    one scale and shift. The backward pass is closed form (Ioffe & Szegedy
-    2015): it centres the input again and needs two per-channel
-    reductions, ``sum g`` and ``sum g * (x - mean)``."""
+    ``(n, h, w)`` or with constant ``stats = (mean, var)``, followed by a
+    relu when ``relu`` is set. Returns ``(out, mean, var)``. With batch
+    statistics the input is centred once and the variance is one
+    per-channel dot product; with constant ones the op is one scale and
+    shift. The relu runs in place on that result, so the op holds one
+    activation and records one graph node. The backward pass masks the
+    gradient by the output's sign as ``relu`` does, then is closed form
+    (Ioffe & Szegedy 2015): it centres the input again and needs two
+    per-channel reductions, ``sum g`` and ``sum g * (x - mean)``."""
     xd = x.data
     n, c = xd.shape[:2]
     x3, col, m = xd.reshape(n, c, -1), (1, c, 1), xd.size // c  # m values per channel
@@ -542,13 +565,16 @@ def batch_norm(x, gamma, beta, stats=None):
         var = np.einsum("nci,nci->c", xc, xc) / m
     else:
         mean, var = stats
-    inv = 1.0 / np.sqrt(var + BN_EPSILON)
-    scale = gamma.data * inv
+    inv, scale, shift = bn_scale_shift(gamma.data, beta.data, mean, var)
     # one scale and shift: of x with constant statistics, of x - mean without
-    base, shift = (xc, beta.data) if stats is None else (x3, beta.data - mean * scale)
+    base, shift = (xc, beta.data) if stats is None else (x3, shift)
     out = (base * scale.reshape(col) + shift.reshape(col)).reshape(xd.shape)
+    if relu:
+        np.maximum(out, 0, out=out)
 
     def bw(grad):
+        if relu:  # subgradient 0 at 0, as relu's
+            grad = grad * (out > 0)
         g3 = grad.reshape(n, c, -1)
         xc = x3 - mean.reshape(col)
         sum_g, sum_gxc = g3.sum(axis=(0, 2)), np.einsum("nci,nci->c", g3, xc)

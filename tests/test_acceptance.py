@@ -74,6 +74,10 @@ def test_gradient_suite():
     bias = _dten((4,), 8)
     gate_c = _dten((2, 3, 1, 1), 9)
     gate_s = _dten((2, 1, 4, 4), 10)
+    # train-mode pre-activations stay at least 0.06 from the relu kink
+    bn_x = _dten((2, 3, 4, 4), 11, away=0.5)
+    gamma = _dten((3,), 12, lo=0.5, hi=1.5)
+    beta = _dten((3,), 13, lo=-0.1, hi=0.1)
 
     cases = [
         ("add", lambda: quad(T.add(a, b)), [a, b]),
@@ -90,6 +94,8 @@ def test_gradient_suite():
         ("tmean", lambda: quad(T.tmean(a, axis=1)), [a]),
         ("conv2d", lambda: quad(T.conv2d(x, w, bias, stride=2, zero_padding=1)),
          [x, w, bias]),
+        ("batch_norm_relu", lambda: quad(T.batch_norm(bn_x, gamma, beta, relu=True)[0]),
+         [bn_x, gamma, beta]),
         ("bilinear_upsample", lambda: quad(T.bilinear_upsample(a, 7, 9)), [a]),
         ("global_avg_pool", lambda: quad(T.global_avg_pool(a)), [a]),
         ("concat_channels", lambda: quad(T.concat_channels(a, b)), [a, b]),

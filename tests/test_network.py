@@ -9,9 +9,11 @@ import pytest
 from hqinet import tensor as T
 from hqinet.errors import ConfigError
 from hqinet.losses import loss_terms
+from hqinet.optim import Adam
 from hqinet.runconfig import RunConfig
 from hqinet.tensor import Tensor
-from hqinet.network import (ASPP, Bottleneck, ChannelSE, DecoderBlock,
+from hqinet.nn import BatchNorm2d
+from hqinet.network import (ASPP, Bottleneck, ChannelSE, ConvBNReLU, DecoderBlock,
                             EXPANSION, HQINet, ModelConfig,
                             ReconstructionHead, SCSE, SpatialSE, build_model,
                             parameter_count)
@@ -63,6 +65,20 @@ GRADCHECK_PROBES = [
 
 def rand(shape, seed, dtype=np.float32):
     return np.random.default_rng(seed).normal(size=shape).astype(dtype)
+
+
+def with_random_statistics(m, seed):
+    """``m`` with every BatchNorm's affine parameters and running statistics
+    drawn at random, so that folding them changes the conv weights."""
+    rng = np.random.default_rng(seed)
+    for bn in m.modules():
+        if isinstance(bn, BatchNorm2d):
+            dtype, c = bn.gamma.data.dtype, bn.channels
+            bn.gamma.data = rng.uniform(0.5, 1.5, c).astype(dtype)
+            bn.beta.data = rng.normal(0.0, 0.1, c).astype(dtype)
+            bn.running_mean = rng.normal(0.0, 0.1, c).astype(dtype)
+            bn.running_var = rng.uniform(0.5, 2.0, c).astype(dtype)
+    return m
 
 
 class TestModelConfig:
@@ -317,22 +333,53 @@ class TestHQINet:
         check(lambda: T.tmean(T.mul(m(x), m(x))), probes + [x],
               max_entries=4, eps=1e-5, tol=1e-4)
 
-    def test_desk_training_step_graph_nodes(self):
-        # One node per recorded op: 31 BatchNorm layers and SSIM at one node
-        # each, the convs, gates, upsamplings and the rest of the loss. The
-        # convs read concatenated channels in place, so no concat node.
+    @staticmethod
+    def step_graph(config, shape, seed):
+        """A training step's loss on random ``shape`` input, its graph nodes
+        and the bytes of the distinct arrays their outputs live in."""
         cfg = RunConfig.desk()
-        m = build_model(cfg.model, seed=7)
-        x, y = Tensor(rand((4, 3, 64, 64), 27)), Tensor(rand((4, 1, 64, 64), 28))
+        m = build_model(config, seed=seed)
+        n, _, h, w = shape
+        x, y = Tensor(rand(shape, 27)), Tensor(rand((n, 1, h, w), 28))
         loss = loss_terms(m(x), y, cfg.loss_weights, cfg.ssim)[0]
-        seen, stack, nodes = set(), [loss], 0
+        seen, stack, nodes, held = set(), [loss], 0, {}
         while stack:
             t = stack.pop()
             if id(t) not in seen:
                 seen.add(id(t))
-                nodes += t._backward is not None
+                if t._backward is not None:
+                    nodes += 1
+                    buf = t.data
+                    while buf.base is not None:
+                        buf = buf.base
+                    held[id(buf)] = buf.nbytes
                 stack.extend(t._parents)
-        assert nodes == 168
+        return m, loss, nodes, sum(held.values())
+
+    def test_desk_training_step_graph_nodes(self):
+        # One node per recorded op: 31 BatchNorm layers (23 with their relu)
+        # and SSIM at one node each, the convs, gates, upsamplings and the
+        # rest of the loss. The convs read concatenated channels in place,
+        # so no concat node.
+        assert self.step_graph(ModelConfig.desk(), (4, 3, 64, 64), 7)[2] == 145
+
+    def test_desk_training_step_held_activations(self):
+        # Exact, from shapes alone, so an op that keeps one more activation
+        # moves it: 12.41 MiB (14.68 MiB when relu held its own output).
+        assert self.step_graph(ModelConfig.desk(), (4, 3, 64, 64), 7)[3] == 13011708
+
+    def test_paper_width_training_step(self):
+        # ModelConfig() is the paper's architecture (2.06M parameters).
+        m, loss, nodes, _ = self.step_graph(ModelConfig(), (1, 3, 32, 32), 0)
+        assert nodes == 361
+        assert np.isfinite(float(loss.data))
+        opt = Adam(list(m.named_parameters()), lr=1e-3)
+        loss.backward()
+        before = [p.data.copy() for p in m.parameters()]
+        opt.step()
+        for (name, p), b in zip(m.named_parameters(), before):
+            assert p.grad is not None and np.all(np.isfinite(p.grad)), name
+            assert not np.array_equal(p.data, b), name
 
     def test_desk_inference_forward_peak_memory(self):
         # 4 x 3 x 128^2, no graph: the head reads its four upsampled decoder
@@ -348,6 +395,33 @@ class TestHQINet:
         finally:
             tracemalloc.stop()
         assert peak <= 24 * 2**20
+
+
+class TestBatchNormFolding:
+    """Eval mode with no graph folds every BatchNorm into the conv before it
+    (``tests/test_training.py::TestFoldedPredict`` checks its outputs); with
+    a graph recorded it keeps BatchNorm as an op."""
+
+    @pytest.mark.parametrize("make,probes", [
+        (lambda: ConvBNReLU(3, 4, 3, stride=2, padding=1),
+         ["conv.weight", "bn.gamma", "bn.beta"]),
+        (lambda: Bottleneck(3, 2, 2, 2),
+         ["expand.weight", "expand_bn.gamma", "expand_bn.beta",
+          "shortcut.weight", "shortcut_bn.gamma", "shortcut_bn.beta"]),
+    ], ids=["conv_bn_relu", "bottleneck"])
+    def test_eval_mode_under_a_graph_gradchecks(self, make, probes):
+        # The analytic gradients come from the recorded, unfolded graph; the
+        # finite differences from the folded forward under no_grad.
+        unit = with_random_statistics(make().astype(np.float64), 2).eval()
+        rng = np.random.default_rng(41)
+        for p in unit.parameters():
+            p.data = rng.normal(size=p.data.shape)
+        named = dict(unit.named_parameters())
+        x = Tensor(rng.normal(size=(2, 3, 8, 8)), requires_grad=True)
+        weights = Tensor(rng.normal(size=unit(x).data.shape))
+        check(lambda: T.tsum(T.mul(unit(x), weights)), [named[k] for k in probes] + [x])
+        for k in probes:
+            assert np.abs(named[k].grad).max() > 0
 
 
 class TestParameterCensus:

@@ -444,47 +444,81 @@ class TestBatchNorm:
         x, gamma, beta, mean, var, weights = [a.astype(dtype) for a in arrays]
         return x, gamma, beta, None if mode == "train" else (mean, var), weights
 
+    @staticmethod
+    def _results(fn, x, gamma, beta, stats, weights):
+        """fn's output, the gradients of its three leaves, mean and var."""
+        leaves = [Tensor(a.copy(), requires_grad=True) for a in (x, gamma, beta)]
+        out, mean, var = fn(*leaves, stats)
+        T.tsum(T.mul(out, Tensor(weights))).backward()
+        return [out.data] + [t.grad for t in leaves] + [mean, var]
+
+    @staticmethod
+    def _naive(relu):
+        """The composition ``batch_norm`` with ``relu`` replaces."""
+        def naive(x, gamma, beta, stats):
+            out, mean, var = batch_norm_naive(x, gamma, beta, T.BN_EPSILON, stats)
+            return (T.relu(out) if relu else out), mean, var
+        return naive
+
     @pytest.mark.parametrize("mode", ["train", "eval"])
     @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
     def test_matches_composition(self, mode, dtype, tol):
-        x, gamma, beta, stats, weights = self._inputs(dtype, mode)
+        inputs = self._inputs(dtype, mode)
+        stats = inputs[3]
+        for relu in (False, True):
+            results = [self._results(fn, *inputs) for fn in (
+                lambda *a: T.batch_norm(*a, relu=relu), self._naive(relu))]
+            for got, want in zip(*results):
+                assert got.dtype == dtype and got.shape == want.shape
+                assert np.abs(got - want).max() <= tol * np.abs(want).max()
+            if stats is not None:
+                assert results[0][4] is stats[0] and results[0][5] is stats[1]
+            if relu:
+                assert (results[0][0] == 0).any() and (results[0][0] > 0).any()
 
-        def naive(x, gamma, beta, stats):
-            return batch_norm_naive(x, gamma, beta, T.BN_EPSILON, stats)
-
-        results = []
-        for fn in (T.batch_norm, naive):
-            leaves = [Tensor(a.copy(), requires_grad=True) for a in (x, gamma, beta)]
-            out, mean, var = fn(*leaves, stats)
-            T.tsum(T.mul(out, Tensor(weights))).backward()
-            results.append([out.data] + [t.grad for t in leaves] + [mean, var])
-        for got, want in zip(*results):
-            assert got.dtype == dtype and got.shape == want.shape
-            assert np.abs(got - want).max() <= tol * np.abs(want).max()
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_relu_subgradient_zero_at_zero(self, mode):
+        # Channel 0 holds -1, 0 and 1 in equal numbers and is normalized about
+        # mean 0 with beta 0, so its pre-activation is exactly 0 wherever x is.
+        x, gamma, beta, stats, weights = self._inputs(np.float64, mode)
+        x[:, 0] = np.resize([-1.0, 0.0, 1.0], x[:, 0].size).reshape(x[:, 0].shape)
+        beta[0] = 0.0
         if stats is not None:
-            assert results[0][4] is stats[0] and results[0][5] is stats[1]
+            stats[0][0] = 0.0
+        zero = np.zeros(x.shape, bool)
+        zero[:, 0] = x[:, 0] == 0
+        results = [self._results(fn, x, gamma, beta, stats, weights) for fn in (
+            lambda *a: T.batch_norm(*a, relu=True), self._naive(True))]
+        assert np.all(results[0][0][zero] == 0) and np.all(results[1][0][zero] == 0)
+        for got, want in zip(*results):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        if stats is not None:  # each output depends only on its own input
+            assert np.all(results[0][1][zero] == 0)
 
     @pytest.mark.parametrize("mode", ["train", "eval"])
     def test_gradcheck(self, mode):
         x, gamma, beta, stats, weights = self._inputs(np.float64, mode)
         leaves = [Tensor(a, requires_grad=True) for a in (x, gamma, beta)]
+        for relu in (False, True):  # pre-activations stay 7e-3 or more from 0
+            def fn():
+                out = T.batch_norm(*leaves, stats, relu=relu)[0]
+                return T.tsum(T.mul(T.mul(out, out), Tensor(weights)))
 
-        def fn():
-            out = T.batch_norm(*leaves, stats)[0]
-            return T.tsum(T.mul(T.mul(out, out), Tensor(weights)))
-
-        check(fn, leaves)
+            check(fn, leaves)
 
     def test_one_graph_node(self):
         leaves = [Tensor(a, requires_grad=True) for a in self._inputs(np.float64, "train")[:3]]
-        out = T.batch_norm(*leaves)[0]
-        assert out._parents == tuple(leaves)
-        with T.no_grad():
-            assert T.batch_norm(*leaves)[0]._backward is None
+        for relu in (False, True):
+            out = T.batch_norm(*leaves, relu=relu)[0]
+            assert out._parents == tuple(leaves)
+            with T.no_grad():
+                assert T.batch_norm(*leaves, relu=relu)[0]._backward is None
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_eval_mode_is_one_scale_and_shift_bit_for_bit(self, dtype):
-        # inference output is pinned to this expression's rounding
+        # eval-mode BatchNorm under a recorded graph rounds as this
+        # expression; the model's inference instead folds this scale and
+        # shift into the conv before it (nn.conv_bn)
         x, gamma, beta, (mean, var), _ = self._inputs(dtype, "eval")
         scale = gamma * (1.0 / np.sqrt(var + T.BN_EPSILON))
         want = x * scale.reshape(1, -1, 1, 1) + (beta - mean * scale).reshape(1, -1, 1, 1)

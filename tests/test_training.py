@@ -36,6 +36,8 @@ from hqinet.tensor import Tensor
 from hqinet.trainer import LOG_HEADER, evaluate, reconstruct, train
 from hqinet.volume_io import manifest_path, read_manifest, read_volume, write_volume
 
+from test_network import with_random_statistics
+
 SPEC = SyntheticSpec(n_train=2, n_test=1, n_slices=4, size=32,
                      n_views=24, n_detectors=47)
 
@@ -489,9 +491,61 @@ class TestEvaluateAndReconstruct:
         assert len(payload) == w * h
 
 
+def unfolded(*args, **kwargs):
+    """Stands in for ``tensor.batch_norm`` where every BatchNorm must fold."""
+    raise AssertionError("a BatchNorm ran unfolded")
+
+
+class TestFoldedPredict:
+    """``_predict``, and validation, ``evaluate`` and ``reconstruct`` through
+    it, run every BatchNorm folded into its conv."""
+
+    def test_every_path_folds_every_batch_norm(self, data_dir, run, tmp_path, monkeypatch):
+        monkeypatch.setattr(T, "batch_norm", unfolded)
+        model, config = trainer._load_model_from_checkpoint(run.last_path)
+        low = read_volume(os.path.join(data_dir, "test", "p002_low.hqiv"))
+        trainer._predict(model, *trainer._windows(low, "p002"), config.batch_size)
+        trainer._validation_loss(model, load_triplets(data_dir, "test"), config)
+        evaluate(run.last_path, data_dir, str(tmp_path / "eval"))
+        reconstruct(run.last_path, os.path.join(data_dir, "test", "p002_low.hqiv"),
+                    str(tmp_path / "recon"))
+
+    @pytest.mark.parametrize("source,dtype,tol", [
+        ("random", np.float32, 1e-6), ("random", np.float64, 1e-12),
+        ("trained", np.float32, 1e-6)])
+    def test_matches_unfolded_eval_forward(self, run, source, dtype, tol):
+        if source == "trained":
+            model = trainer._load_model_from_checkpoint(run.last_path)[0]
+        else:
+            model = with_random_statistics(
+                build_model(ModelConfig.desk(), seed=3).astype(dtype), 4)
+        rng = np.random.default_rng(5)
+        inputs = [rng.uniform(size=(3, 32, 32)).astype(dtype) for _ in range(5)]
+        got = np.concatenate(trainer._predict(model, inputs, list("abcde"), 2))
+        want = model(Tensor(np.stack(inputs))).data  # eval mode, graph recorded
+        assert got.dtype == dtype
+        assert np.abs(got - want).max() <= tol * np.abs(want).max()
+
+    def test_changes_no_parameter_buffer_or_input(self):
+        model = with_random_statistics(build_model(ModelConfig.desk(), seed=6), 7)
+        rng = np.random.default_rng(8)
+        inputs = [rng.normal(size=(3, 32, 32)).astype(np.float32) for _ in range(3)]
+        kept = [x.copy() for x in inputs]
+
+        def state():
+            return [(name, v.data.tobytes() if isinstance(v, Tensor) else v.tobytes())
+                    for name, v in list(model.named_parameters()) + list(model.named_buffers())]
+
+        before = state()
+        trainer._predict(model, inputs, list("abc"), 2)
+        assert state() == before
+        assert all(np.array_equal(x, k) for x, k in zip(inputs, kept))
+
+
 class TestHeap:
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's mallopt")
-    def test_forwards_do_not_refault_the_heap(self):
+    def test_forwards_do_not_refault_the_heap(self, monkeypatch):
+        monkeypatch.setattr(T, "batch_norm", unfolded)  # the folded forward
         trainer._hold_heap()
         model = build_model(RunConfig.desk().model, seed=0)
         model.eval()

@@ -125,13 +125,15 @@ def _well_formed(meta):
 
 
 def _resumable(header):
-    """True when counters, best value and RNG state can be restored."""
+    """True when counters, best value and RNG state can be restored; the
+    best value is null or finite (json reads NaN and Infinity tokens)."""
     try:
         np.random.PCG64(0).state = header["rng"]
     except (TypeError, ValueError, KeyError, OverflowError):
         return False
     return (all(type(header[k]) is int and header[k] >= 0 for k in ("epoch", "step"))
-            and (header["best_val"] is None or type(header["best_val"]) in (int, float)))
+            and (header["best_val"] is None
+                 or type(header["best_val"]) in (int, float) and math.isfinite(header["best_val"])))
 
 
 def load_checkpoint(path):

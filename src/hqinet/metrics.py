@@ -51,7 +51,8 @@ def nmse(pred, ref):
 def psnr(pred, ref):
     """Peak signal-to-noise ratio in dB, 10*log10(peak^2 / MSE) with the
     reference's maximum as the peak, capped at ``PSNR_CAP_DB``; identical
-    images score the cap, so a report stays finite."""
+    images score the cap, so a report stays finite. A NaN in either image
+    gives NaN."""
     p, r = _pair(pred, ref)
     peak = float(r.max())
     if peak <= 0:
@@ -59,7 +60,8 @@ def psnr(pred, ref):
     mse = float(np.mean((p - r) ** 2))
     if mse == 0.0:
         return PSNR_CAP_DB
-    return min(PSNR_CAP_DB, float(10.0 * math.log10(peak * peak / mse)))
+    # np.minimum, unlike min, keeps a NaN.
+    return float(np.minimum(PSNR_CAP_DB, 10.0 * math.log10(peak * peak / mse)))
 
 
 def _bin_index(x):

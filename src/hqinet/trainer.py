@@ -21,7 +21,7 @@ import numpy as np
 from . import tensor as T
 from .checkpoint import (check_model_config, load_checkpoint, restore_model_state,
                          restore_optimizer_state, save_checkpoint)
-from .dataset import load_triplets, load_volume_pairs, random_crop, stack_batch
+from .dataset import build_triplets, load_triplets, load_volume_pairs, random_crop, stack_batch
 from .errors import ConfigError, DataError, NumericError
 from .losses import loss_terms
 from .metrics import format_table, metrics_report
@@ -78,12 +78,13 @@ def _hold_heap():
     mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
-def _predict(model, inputs, labels, batch_size):
-    """The model's (b, 1, h, w) outputs in eval mode for ``inputs``, a list
-    of (3, h, w) arrays, one array per chunk. A chunk holds up to
-    ``batch_size`` consecutive inputs of one size, so a size change starts
-    a new chunk. Every size is checked before the first forward. A
-    non-finite output raises NumericError naming its input's label."""
+def _predict(model, triplets, batch_size):
+    """The model's (b, 1, h, w) outputs in eval mode for the inputs of
+    ``triplets``, one array per chunk; targets are not read. A chunk holds
+    up to ``batch_size`` consecutive triplets of one size, so a size change
+    starts a new chunk. Every size is checked before the first forward. A
+    non-finite output raises NumericError naming its triplet."""
+    inputs = [t.input for t in triplets]
     for h, w in sorted({x.shape[1:] for x in inputs}):
         _check_slice_size(h, w)
     # Runs of consecutive inputs of one size, each cut into batch_size chunks.
@@ -96,19 +97,17 @@ def _predict(model, inputs, labels, batch_size):
                 pred = model(Tensor(np.stack(inputs[start:min(start + batch_size, hi)]))).data
                 bad = np.flatnonzero(~np.isfinite(pred).all(axis=(1, 2, 3)))
                 if bad.size:
+                    t = triplets[start + bad[0]]
                     raise NumericError(
-                        f"non-finite model output for {labels[start + bad[0]]}")
+                        f"non-finite model output for {t.patient_id} slice {t.slice_index}")
                 preds.append(pred)
     return preds
 
 
 def _validation_loss(model, triplets, config: RunConfig):
     total = 0.0
-    preds = _predict(model, [t.input for t in triplets],
-                     [f"{t.patient_id} slice {t.slice_index}" for t in triplets],
-                     config.batch_size)
     start = 0
-    for pred in preds:
+    for pred in _predict(model, triplets, config.batch_size):
         y = np.stack([t.target for t in triplets[start:start + len(pred)]])
         loss = loss_terms(Tensor(pred), Tensor(y), config.loss_weights, config.ssim)[0]
         total += float(loss.data) * len(pred)
@@ -130,38 +129,30 @@ def _kept_rows(path, keep_below):
 
 
 def _check_slice_size(h, w):
-    if h % OUTPUT_STRIDE or w % OUTPUT_STRIDE:
-        raise DataError(f"slices are {h}x{w}; the model needs sizes divisible by {OUTPUT_STRIDE}")
+    if min(h, w) < OUTPUT_STRIDE or h % OUTPUT_STRIDE or w % OUTPUT_STRIDE:
+        raise DataError(f"slices are {h}x{w}; the model needs sizes divisible by "
+                        f"{OUTPUT_STRIDE} and >= {OUTPUT_STRIDE}")
 
 
-def train(config: RunConfig, resume=None, triplets=None, val_triplets=None) -> TrainResult:
-    """Run the full training loop; returns paths to log and checkpoints.
-
-    ``triplets``/``val_triplets`` may be passed directly (tests);
-    otherwise they are loaded from config.data.root. When both splits are
-    loaded, a patient in both is a data error.
-    """
+def train(config: RunConfig, resume=None) -> TrainResult:
+    """Run the full training loop on the train and test splits under
+    config.data.root; returns paths to log and checkpoints. A patient in
+    both splits is a data error."""
     _hold_heap()
     out_dir = config.output_dir
     os.makedirs(out_dir, exist_ok=True)
-    from_root = triplets is None and val_triplets is None
-    if triplets is None:
-        triplets = load_triplets(config.data.root, "train")
-    if val_triplets is None:
-        val_triplets = load_triplets(config.data.root, "test")
-    if from_root:
-        shared = sorted({t.patient_id for t in triplets} & {t.patient_id for t in val_triplets})
-        if shared:
-            raise DataError(f"patients {shared} are in both splits of {config.data.root}")
-    if not triplets:
-        raise DataError("no training triplets")
+    triplets = load_triplets(config.data.root, "train")
+    val_triplets = load_triplets(config.data.root, "test")
+    shared = sorted({t.patient_id for t in triplets} & {t.patient_id for t in val_triplets})
+    if shared:
+        raise DataError(f"patients {shared} are in both splits of {config.data.root}")
     crop = config.data.crop
     if crop:
         h = min(t.input.shape[1] for t in triplets)
         w = min(t.input.shape[2] for t in triplets)
         if crop > h or crop > w:
             raise ConfigError(f"crop {crop} exceeds slice size {h}x{w}")
-    uncropped = {t.input.shape[1:] for t in list(val_triplets) + ([] if crop else list(triplets))}
+    uncropped = {t.input.shape[1:] for t in val_triplets + ([] if crop else triplets)}
     for h, w in uncropped:
         _check_slice_size(h, w)
     smallest = min([min(s) for s in uncropped] + ([crop] if crop else []))
@@ -234,10 +225,10 @@ def train(config: RunConfig, resume=None, triplets=None, val_triplets=None) -> T
                     f"{step},{epoch},{loss_val!r},{float(l1_part.data)!r},"
                     f"{float(ssim_part.data)!r},{wall:.3f}\n")
             log_file.flush()
-            val_loss = _validation_loss(model, val_triplets, config) if val_triplets else math.nan
+            val_loss = _validation_loss(model, val_triplets, config)
             val_log.write(f"{epoch},{val_loss!r}\n")
             val_log.flush()
-            is_best = val_triplets and val_loss < best_val
+            is_best = val_loss < best_val
             if is_best:
                 best_val = val_loss
             # last.hqic goes last: a run killed between these writes resumes
@@ -264,14 +255,6 @@ def _load_model_from_checkpoint(ckpt_path):
     return model, state.config
 
 
-def _windows(low_volume, name):
-    """The (3, h, w) model input of every interior slice of a low-dose
-    volume, and the labels that name them in errors."""
-    centers = range(1, low_volume.shape[0] - 1)
-    return ([low_volume[i - 1:i + 2] for i in centers],
-            [f"{name} slice {i}" for i in centers])
-
-
 def evaluate(ckpt_path, data_dir, out_dir):
     """Metric table for the test split's low-dose inputs and model outputs
     vs full dose.
@@ -284,20 +267,17 @@ def evaluate(ckpt_path, data_dir, out_dir):
     _hold_heap()
     model, config = _load_model_from_checkpoint(ckpt_path)
     os.makedirs(out_dir, exist_ok=True)
-    low_mids, full_mids, inputs, labels = [], [], [], []
-    for pid, low, full, _manifest in load_volume_pairs(data_dir, "test"):
-        for i in range(1, low.shape[0] - 1):
-            if not (full[i] > 0).any():  # no peak for PSNR, no norm for NMSE
-                raise DataError(f"{pid}: full-dose slice {i} has no positive value")
-        low_mids.extend(low[1:-1])
-        full_mids.extend(full[1:-1])
-        volume_inputs, volume_labels = _windows(low, pid)
-        inputs += volume_inputs
-        labels += volume_labels
+    triplets = [t for pid, low, full, _manifest in load_volume_pairs(data_dir, "test")
+                for t in build_triplets(low, full, pid)]
+    for t in triplets:
+        if not (t.target > 0).any():  # no peak for PSNR, no norm for NMSE
+            raise DataError(f"{t.patient_id}: full-dose slice {t.slice_index} "
+                            f"has no positive value")
+    low_mids = [t.input[1] for t in triplets]
+    full_mids = [t.target[0] for t in triplets]
     # Batches span volumes: a sample's output in eval mode does not depend
     # on the others in its batch.
-    pred_mids = [p[0] for pred in _predict(model, inputs, labels, config.batch_size)
-                 for p in pred]
+    pred_mids = [p[0] for pred in _predict(model, triplets, config.batch_size) for p in pred]
     low_rep = metrics_report(low_mids, full_mids)
     model_rep = metrics_report(pred_mids, full_mids)
     table = format_table([("Low-dose", low_rep), ("HQINet", model_rep)])
@@ -336,8 +316,8 @@ def reconstruct(ckpt_path, input_path, out_dir):
     if volume.shape[0] < 3:
         raise DataError(
             f"{input_path} has {volume.shape[0]} slices; reconstruction needs >= 3")
+    preds = _predict(model, build_triplets(volume, volume, input_path), config.batch_size)
     os.makedirs(out_dir, exist_ok=True)
-    preds = _predict(model, *_windows(volume, input_path), config.batch_size)
     out = volume.copy()
     out[1:-1] = np.concatenate(preds)[:, 0]
     try:

@@ -19,8 +19,7 @@ from hqinet.checkpoint import (CheckpointMagicError, CheckpointTruncatedError,
                                restore_model_state, restore_optimizer_state,
                                save_checkpoint)
 from hqinet.ctsim import apply_low_dose, fbp, generate_phantom_volume, radon
-from hqinet.dataset import (SyntheticSpec, build_triplets, generate_dataset,
-                            generate_patient_pair)
+from hqinet.dataset import SyntheticSpec, generate_dataset
 from hqinet.losses import SsimParams, l1_loss, loss_terms, ssim
 from hqinet.metrics import l1_error, mutual_information, nmse, psnr
 from hqinet.network import ModelConfig, build_model, parameter_count
@@ -366,13 +365,13 @@ def test_overfit_smoke(tmp_path):
     t0 = time.perf_counter()
     spec = SyntheticSpec(n_train=1, n_test=1, n_slices=10, size=64,
                          n_views=60, n_detectors=93)
-    low, full, _ = generate_patient_pair(spec, seed=0, patient_index=0)
-    triplets = build_triplets(low, full, "p000")[:8]
+    # Patient p000 trains; p001 is the test split train validates on.
+    generate_dataset(str(tmp_path / "data"), spec, seed=0)
     cfg = RunConfig(batch_size=4, epochs=250, seed=0,
                     optimizer=OptimizerConfig(lr=1e-3),
-                    data=DataConfig(root="unused", crop=0),
+                    data=DataConfig(root=str(tmp_path / "data"), crop=0),
                     output_dir=str(tmp_path / "run"), strict_determinism=True)
-    result = train(cfg, triplets=triplets, val_triplets=[])
+    result = train(cfg)
     rows = Path(result.log_path).read_text().splitlines()[1:]
     first = float(rows[0].split(",")[2])
     final = float(rows[-1].split(",")[2])

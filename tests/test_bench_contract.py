@@ -1,8 +1,11 @@
 """The benchmark's tracer wraps package attributes by name and reads the
 arguments of the ops it wraps; this checks that every name it wraps still
 exists and that it reads every conv a model step makes, without timing
-anything. It also runs each benchmark workload once at toy size and checks
-that its outputs pass and it reports every end-to-end metric."""
+anything. A toy ``train`` and ``evaluate`` must reach every data-path name
+it wraps, so a refactor that stops calling one fails here instead of
+zeroing its per-layer metrics. It also runs each benchmark workload once at
+toy size and checks that its outputs pass and it reports every end-to-end
+metric."""
 
 import importlib.util
 import json
@@ -16,8 +19,10 @@ import pytest
 from hqinet import tensor as T
 from hqinet.losses import loss_terms
 from hqinet.network import build_model
-from hqinet.runconfig import RunConfig
+from hqinet.runconfig import DataConfig, RunConfig
 from hqinet.tensor import Tensor
+from hqinet.trainer import evaluate, train
+from hqinet.volume_io import write_volume
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TRACER = os.path.join(ROOT, "perfbench", "tracer.py")
@@ -89,6 +94,40 @@ def test_every_conv_of_an_inference_forward_is_traced(traced):
         model(x)
     assert calls
     assert _conv_spans(tracer) == (len(calls), 0)
+
+
+# The spans of the trainer's data path: the names each entry point must
+# call through the attribute the tracer wraps.
+TRAIN_SPANS = {"dataset.load_triplets", "dataset.random_crop", "dataset.stack_batch",
+               "losses.loss_terms", "trainer.validation", "checkpoint.save"}
+EVALUATE_SPANS = {"checkpoint.load", "dataset.load_volume_pairs", "metrics.metrics_report"}
+
+
+def test_train_and_evaluate_reach_every_wrapped_data_path_name(tmp_path):
+    data = tmp_path / "data"
+    rng = np.random.default_rng(6)
+    for split, pids in (("train", ("p000", "p001")), ("test", ("p002",))):
+        (data / split).mkdir(parents=True)
+        for pid in pids:
+            for kind in ("low", "full"):
+                write_volume(str(data / split / f"{pid}_{kind}.hqiv"),
+                             rng.uniform(0.1, 1.0, (4, 32, 32)).astype(np.float32))
+    cfg = RunConfig(batch_size=2, epochs=1, data=DataConfig(root=str(data), crop=16),
+                    output_dir=str(tmp_path / "run"), strict_determinism=True)
+    seen = {}
+    for entry, call in (("train", lambda: train(cfg)),
+                        ("evaluate", lambda: evaluate(str(tmp_path / "run" / "last.hqic"),
+                                                      str(data), str(tmp_path / "eval")))):
+        t = _load_tracer().Tracer().install()
+        try:
+            call()
+        finally:
+            t.restore()
+        seen[entry] = {s[0] for s in t.spans}
+    assert not TRAIN_SPANS - seen["train"]
+    assert not EVALUATE_SPANS - seen["evaluate"]
+    # evaluate reads volumes through trainer.load_volume_pairs, not load_triplets.
+    assert "dataset.load_triplets" not in seen["evaluate"]
 
 
 @pytest.mark.parametrize("workload", [w["name"] for w in SPEC["workloads"]])

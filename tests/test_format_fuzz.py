@@ -17,7 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from hqinet.checkpoint import _PREFIX, CheckpointError, load_checkpoint, save_checkpoint
-from hqinet.dataset import build_triplets
 from hqinet.errors import ConfigError
 from hqinet.network import ModelConfig, build_model
 from hqinet.optim import Adam
@@ -95,9 +94,14 @@ def _value_paths(header):
 def test_checkpoint_value_mutations_raise_only_checkpoint_errors(tmp_path):
     rng = np.random.default_rng(2)
     vol = rng.random((4, 32, 32)).astype(np.float32)
-    triplets = build_triplets(vol, vol)
+    data = tmp_path / "data"
+    for split, pid in (("train", "p000"), ("test", "p001")):
+        (data / split).mkdir(parents=True)
+        for kind in ("low", "full"):
+            write_volume(str(data / split / f"{pid}_{kind}.hqiv"), vol)
     # A checkpoint of the final epoch, so an accepted resume trains no step.
-    cfg = RunConfig(epochs=1, data=DataConfig(crop=16), output_dir=str(tmp_path / "run"))
+    cfg = RunConfig(epochs=1, data=DataConfig(root=str(data), crop=16),
+                    output_dir=str(tmp_path / "run"))
     model = build_model(cfg.model, seed=cfg.seed)
     opt = Adam(list(model.named_parameters()), lr=1e-3)
     path = str(tmp_path / "ok.hqic")
@@ -126,7 +130,7 @@ def test_checkpoint_value_mutations_raise_only_checkpoint_errors(tmp_path):
         with open(bad, "wb") as f:
             f.write(_PREFIX.pack(magic, version, len(new_head)) + new_head + blobs)
         for read in (load_checkpoint,
-                     lambda p: train(cfg, resume=p, triplets=triplets, val_triplets=triplets)):
+                     lambda p: train(cfg, resume=p)):
             try:
                 read(bad)
             except CheckpointError:

@@ -65,6 +65,14 @@ class TestClosedForms:
         assert psnr(x + 1e-9, x) == PSNR_CAP_DB
         assert psnr(x + 1e-3, x) < PSNR_CAP_DB
 
+    @pytest.mark.parametrize("nan_in", ["pred", "ref"])
+    def test_psnr_nan_is_not_capped(self, nan_in):
+        # min(cap, nan) is the cap; a NaN must reach the report's guard.
+        x = np.ones((8, 8))
+        y = x.copy()
+        y[2, 3] = np.nan
+        assert math.isnan(psnr(y, x) if nan_in == "pred" else psnr(x, y))
+
     def test_mi_identical_images_equals_histogram_entropy(self):
         x = img((32, 32), 15)
         got = mutual_information(x, x)

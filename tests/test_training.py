@@ -2,6 +2,7 @@
 
 import contextlib
 import json
+import math
 import os
 import platform
 import resource
@@ -16,15 +17,15 @@ import pytest
 
 import hqinet
 from hqinet import checkpoint as ckpt
-from hqinet import cli, trainer
+from hqinet import trainer
 from hqinet.checkpoint import (CheckpointError, CheckpointMagicError, CheckpointShapeError,
                                CheckpointTruncatedError, CheckpointVersionError,
                                check_model_config, load_checkpoint,
                                restore_model_state, restore_optimizer_state,
                                save_checkpoint)
 from hqinet.cli import main
-from hqinet.dataset import (SyntheticSpec, generate_dataset, load_triplets, load_volume_pairs,
-                            random_crop)
+from hqinet.dataset import (SliceTriplet, SyntheticSpec, build_triplets, generate_dataset,
+                            load_triplets, load_volume_pairs)
 from hqinet import tensor as T
 from hqinet.errors import ConfigError, DataError, NumericError
 from hqinet.losses import SsimParams
@@ -195,11 +196,6 @@ class TestTrainLoop:
         assert saves == ["epoch_002.hqic", "best.hqic", "last.hqic"][:kill_after + 1]
         train(cfg, resume=os.path.join("run", "last.hqic"))
         assert files("killed") == full
-
-    def test_no_validation_split_has_no_best_checkpoint(self, data_dir, tmp_path):
-        result = train(make_config(data_dir, tmp_path / "run", epochs=1), val_triplets=[])
-        assert result.best_path is None
-        assert not os.path.exists(tmp_path / "run" / "best.hqic")
 
     def test_resume_rejects_model_config_change(self, data_dir, tmp_path):
         part = train(make_config(data_dir, tmp_path / "run", epochs=1))
@@ -418,7 +414,7 @@ class TestEvaluateAndReconstruct:
         model, config = trainer._load_model_from_checkpoint(run.last_path)
         lows, fulls, preds = [], [], []
         for pid, low, full, _manifest in load_volume_pairs(str(data), "test"):
-            pred = trainer._predict(model, *trainer._windows(low, pid), config.batch_size)
+            pred = trainer._predict(model, build_triplets(low, full, pid), config.batch_size)
             preds.extend(np.concatenate(pred)[:, 0])
             lows.extend(low[1:-1])
             fulls.extend(full[1:-1])
@@ -446,7 +442,7 @@ class TestEvaluateAndReconstruct:
         sizes = [32] * 5 + [48] * 2 + [32]
         inputs = [np.full((3, s, s), i, np.float32) for i, s in enumerate(sizes)]
         model = Recorder()
-        preds = trainer._predict(model, inputs, [str(i) for i in range(8)], 3)
+        preds = trainer._predict(model, _triplets(inputs), 3)
         assert model.batches == [(3, 3, 32, 32), (2, 3, 32, 32), (2, 3, 48, 48),
                                  (1, 3, 32, 32)]
         flat = [p for pred in preds for p in pred]
@@ -454,8 +450,7 @@ class TestEvaluateAndReconstruct:
         # Every size is checked before the first forward.
         model = Recorder()
         with pytest.raises(DataError, match="slices are 40x40"):
-            trainer._predict(model, inputs + [np.zeros((3, 40, 40), np.float32)],
-                             [str(i) for i in range(9)], 3)
+            trainer._predict(model, _triplets(inputs + [np.zeros((3, 40, 40), np.float32)]), 3)
         assert model.batches == []
 
     def test_reconstruct_outputs(self, data_dir, run, tmp_path):
@@ -491,6 +486,12 @@ class TestEvaluateAndReconstruct:
         assert len(payload) == w * h
 
 
+def _triplets(inputs):
+    """Each (3, h, w) input as a triplet of patient "p"; no target is read."""
+    return [SliceTriplet(input=x, target=None, patient_id="p", slice_index=i)
+            for i, x in enumerate(inputs)]
+
+
 def unfolded(*args, **kwargs):
     """Stands in for ``tensor.batch_norm`` where every BatchNorm must fold."""
     raise AssertionError("a BatchNorm ran unfolded")
@@ -504,7 +505,7 @@ class TestFoldedPredict:
         monkeypatch.setattr(T, "batch_norm", unfolded)
         model, config = trainer._load_model_from_checkpoint(run.last_path)
         low = read_volume(os.path.join(data_dir, "test", "p002_low.hqiv"))
-        trainer._predict(model, *trainer._windows(low, "p002"), config.batch_size)
+        trainer._predict(model, build_triplets(low, low, "p002"), config.batch_size)
         trainer._validation_loss(model, load_triplets(data_dir, "test"), config)
         evaluate(run.last_path, data_dir, str(tmp_path / "eval"))
         reconstruct(run.last_path, os.path.join(data_dir, "test", "p002_low.hqiv"),
@@ -521,7 +522,7 @@ class TestFoldedPredict:
                 build_model(ModelConfig.desk(), seed=3).astype(dtype), 4)
         rng = np.random.default_rng(5)
         inputs = [rng.uniform(size=(3, 32, 32)).astype(dtype) for _ in range(5)]
-        got = np.concatenate(trainer._predict(model, inputs, list("abcde"), 2))
+        got = np.concatenate(trainer._predict(model, _triplets(inputs), 2))
         want = model(Tensor(np.stack(inputs))).data  # eval mode, graph recorded
         assert got.dtype == dtype
         assert np.abs(got - want).max() <= tol * np.abs(want).max()
@@ -537,7 +538,7 @@ class TestFoldedPredict:
                     for name, v in list(model.named_parameters()) + list(model.named_buffers())]
 
         before = state()
-        trainer._predict(model, inputs, list("abc"), 2)
+        trainer._predict(model, _triplets(inputs), 2)
         assert state() == before
         assert all(np.array_equal(x, k) for x, k in zip(inputs, kept))
 
@@ -660,10 +661,6 @@ class TestArgumentChecks:
     def test_raises_value_error(self, call, message):
         with pytest.raises(ValueError, match=message):
             call()
-
-    def test_train_without_triplets_is_data_error(self, data_dir, tmp_path):
-        with pytest.raises(DataError, match="no training triplets"):
-            train(make_config(data_dir, tmp_path / "run"), triplets=[])
 
 
 class TestCLI:
@@ -820,14 +817,19 @@ class TestCLI:
             assert f"ssim window_size {window} exceeds {window - 1}px maps" in (
                 capsys.readouterr().err)
             assert not run_dir.exists() or not any(run_dir.iterdir())
-        # Validation slices are never cropped, so they bound the window too.
-        cfg = make_config(data_dir, run_dir)
-        cfg.data.crop = 0
+        # Validation slices are never cropped, so they bound the window too:
+        # 16px test slices under 32px training crops.
+        data = tmp_path / "data"
+        for split, pid, size in (("train", "p000", 32), ("test", "p001", 16)):
+            os.makedirs(data / split)
+            for kind in ("low", "full"):
+                write_volume(str(data / split / f"{pid}_{kind}.hqiv"),
+                             np.ones((4, size, size), np.float32))
+        cfg = make_config(str(data), run_dir)
+        cfg.data.crop = 32
         cfg.ssim = SsimParams(window_size=17)
-        val = [random_crop(t, 16, np.random.default_rng(0))
-               for t in load_triplets(data_dir, "test")]
         with pytest.raises(ConfigError, match="exceeds 16px maps"):
-            train(cfg, val_triplets=val)
+            train(cfg)
         assert not any(run_dir.iterdir())
 
     @pytest.mark.parametrize("argv", [
@@ -908,6 +910,18 @@ class TestCLI:
         assert main(["reconstruct", "--checkpoint", run.last_path, "--input", src,
                      "--out", str(out)]) == 3
         assert "has 2 slices; reconstruction needs >= 3" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("h,w", [(0, 0), (16, 0)])
+    def test_reconstruct_slices_under_16_are_data_error(self, run, tmp_path, capsys, h, w):
+        # 0 divides by 16, but no conv fits a side of 0.
+        src = str(tmp_path / "empty_low.hqiv")
+        write_volume(src, np.zeros((5, h, w), np.float32))
+        out = tmp_path / "recon"
+        assert main(["reconstruct", "--checkpoint", run.last_path, "--input", src,
+                     "--out", str(out)]) == 3
+        assert f"slices are {h}x{w}; the model needs sizes divisible by 16 and >= 16" in (
+            capsys.readouterr().err)
         assert not out.exists()
 
     def test_low_and_full_slice_counts_differ_is_data_error(self, run, data_dir, tmp_path,
@@ -1015,6 +1029,17 @@ class TestCLI:
         assert "patients ['p000'] are in both splits" in capsys.readouterr().err
         assert not run_dir.exists() or not any(run_dir.iterdir())
 
+    def test_empty_train_split_is_data_error(self, data_dir, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        for name in os.listdir(data / "train"):
+            os.remove(data / "train" / name)
+        run_dir = tmp_path / "run"
+        cfg_path = self._write_config(tmp_path, str(data), str(run_dir))
+        assert main(["train", "--config", cfg_path]) == 3
+        assert "no volumes found" in capsys.readouterr().err
+        assert not run_dir.exists() or not any(run_dir.iterdir())
+
     def test_malformed_checkpoint_header_exit_code(self, run, data_dir, tmp_path, capsys):
         bad = str(tmp_path / "bad.hqic")
 
@@ -1033,10 +1058,18 @@ class TestCLI:
             write(mutate)
             with pytest.raises(CheckpointError):
                 load_checkpoint(bad)
+        cfg_path = self._write_config(tmp_path, data_dir, str(tmp_path / "resumed"), epochs=1)
+        # json reads these tokens, but a resumed run must compare against a
+        # finite best value or none.
+        for value in (math.nan, math.inf, -math.inf):
+            write(lambda h: h.__setitem__("best_val", value))
+            with pytest.raises(CheckpointError):
+                load_checkpoint(bad)
+            assert main(["train", "--config", cfg_path, "--resume", bad]) == 3, value
+            assert "header" in capsys.readouterr().err
         write(lambda h: h.pop("buffers"))
         assert main(["eval", "--checkpoint", bad, "--out", str(tmp_path / "eval")]) == 3
         assert "header" in capsys.readouterr().err
-        cfg_path = self._write_config(tmp_path, data_dir, str(tmp_path / "resumed"), epochs=1)
         for mutate in (lambda h: h["rng"].__setitem__("bit_generator", "MT19937"),
                        lambda h: h.__setitem__("epoch", "1")):
             write(mutate)
@@ -1103,12 +1136,12 @@ class TestCLI:
 
     def test_train_without_best_checkpoint_says_so(self, data_dir, tmp_path, capsys,
                                                    monkeypatch):
-        real = cli.train
-        monkeypatch.setattr(cli, "train",
-                            lambda config, resume: real(config, resume, val_triplets=[]))
+        # A non-finite validation loss is never best.
+        monkeypatch.setattr(trainer, "_validation_loss", lambda model, triplets, config: math.nan)
         cfg_path = self._write_config(tmp_path, data_dir, str(tmp_path / "run"), epochs=1)
         assert main(["train", "--config", cfg_path]) == 0
         assert "no best checkpoint" in capsys.readouterr().out
+        assert not (tmp_path / "run" / "best.hqic").exists()
 
     def test_nonfinite_model_output_is_numeric_error(self, run, data_dir, tmp_path,
                                                      capsys):
